@@ -11,7 +11,7 @@ from .polynomials import (PolyRing, CommPoly, DEGREVLEX, DEGLEX, LEX,
                           order_from_name, render_poly)
 from .groebner import (Ideal, groebner, radical_member, variety_equal,
                        projective_empty, intersect, intersect_all)
-from .linearforms import ProjPoint, LinearFormMatrix, matrix_rank
+from .linearforms import ProjPoint, LinearFormMatrix
 from .algebra import (QuadraticPresentation, AlgebraElement,
                       GradedAutomorphism, is_normal, is_regular_up_to,
                       convert_element, opposite_element, DegreeCapExceeded)

@@ -93,6 +93,10 @@ def _parser():
 
 
 def _load(args):
+    """Check length and cap, parse the presentation and the element.
+
+    Returns (presentation, cap, element or None).
+    """
     cap = args.cap
     if cap is None:
         cap = int(os.environ.get("QUADRALG_DEGREE_CAP", "8"))
@@ -101,14 +105,12 @@ def _load(args):
     if cap < args.length + 2:
         cap = args.length + 2
     pres = parse_presentation_file(args.presentation, degree_cap=cap)
-    lift_str = None
+    f = None
     if getattr(args, "element", None):
         f = parse_element(pres, args.element, expect_degree=2)
         if not f:
             raise ParseError("element is zero in the algebra")
-        lift_str = render_element(f)
-        pres = pres.quotient(f)
-    return pres, cap, lift_str
+    return pres, cap, f
 
 
 def _sides(args):
@@ -285,10 +287,13 @@ def _cmd_sigma(args, pres, cap, lift):
     if pair is None:
         return ({"g1": False}, ["(G1) fails: sigma is undefined"])
     try:
-        coords = [Fraction(c) for c in args.point.split(",")]
-    except ValueError:
-        raise ParseError("bad point coordinates") from None
-    pt = ProjPoint(coords, pres.field)
+        pt = ProjPoint([Fraction(c) for c in args.point.split(",")],
+                       pres.field)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad point coordinates: {exc}") from None
+    if len(pt) != len(pres.names):
+        raise ParseError(f"point needs {len(pres.names)} coordinates, "
+                         f"got {len(pt)}")
     image = sigma_at(pair, pt)
     results = {"g1": True, "point": point_to_strings(pt),
                "sigma": point_to_strings(image)}
@@ -317,9 +322,13 @@ def _cmd_report(args, pres, cap, lift):
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
+        pres, cap, f = _load(args)
         if args.command == "shamash":
-            return _run_shamash(args)
-        pres, cap, lift = _load(args)
+            return _run_shamash(args, pres, cap, f)
+        lift = None
+        if f is not None:
+            lift = render_element(f)
+            pres = pres.quotient(f)
         handler = {
             "resolve": _cmd_resolve,
             "point-variety": _cmd_point_variety,
@@ -342,17 +351,7 @@ def main(argv=None):
         return EXIT_BREACH
 
 
-def _run_shamash(args):
-    cap = args.cap
-    if cap is None:
-        cap = int(os.environ.get("QUADRALG_DEGREE_CAP", "8"))
-    if cap < args.length + 2:
-        cap = args.length + 2
-    pres = parse_presentation_file(args.presentation, degree_cap=cap)
-    f = parse_element(pres, args.element, expect_degree=2)
-    if not f:
-        print("input error: element is zero in the algebra", file=sys.stderr)
-        return EXIT_INPUT
+def _run_shamash(args, pres, cap, f):
     lift = render_element(f)
     sigma = is_normal(f)
     results = {"element_canonical_lift": lift,

@@ -1,10 +1,14 @@
 """Exact linear algebra: sparse reduced row echelon form, fraction-free rank,
-nullspaces, batched linear solves, and a fast integer mod-p rank kernel.
+nullspaces, batched linear solves, and a sparse-first mod-p rank kernel.
 
-Everything here is exact.  The mod-p kernel (numpy, integer arithmetic only)
-computes rank over F_p, which is a certified LOWER bound for the rank over QQ
-of an integer matrix; callers combine such bounds into exact certificates and
-fall back to rational elimination when the certificate does not close.
+Everything here is exact.  ``rank_mod_p`` computes rank over F_p, which is a
+certified LOWER bound for the rank over QQ of an integer matrix; callers
+combine such bounds into exact certificates and fall back to rational
+elimination when the certificate does not close.  The kernel eliminates the
+sparse rows in Python integers mod p, shortest rows first, and hands the
+rest to dense numpy elimination only when the sparse work exceeds one dense
+sweep of the matrix (nrows x ncols scalar updates), which is where fill-in
+makes dense elimination pay.
 """
 
 from __future__ import annotations
@@ -16,7 +20,8 @@ import numpy as np
 
 from .scalars import QQ, FpElement
 
-# Primes just under 2^31 so products of two reduced entries fit in int64.
+# Primes just under 2^31: the sparse path works in Python integers, and the
+# dense handoff needs the product of two reduced entries to fit in int64.
 MODULAR_PRIMES = (2147483647, 2147483629, 2147483587)
 
 
@@ -231,7 +236,10 @@ class PrimeClash(Exception):
 
 def _residue(value, p):
     if isinstance(value, Fraction):
-        den = value.denominator % p
+        den = value.denominator
+        if den == 1:
+            return value.numerator % p
+        den %= p
         if den == 0:
             raise PrimeClash
         return value.numerator * pow(den, -1, p) % p
@@ -240,15 +248,50 @@ def _residue(value, p):
 
 def rank_mod_p(columns, nrows, p):
     """Rank over F_p of the sparse-column matrix; raises PrimeClash if a
-    denominator hits p."""
+    denominator hits p.
+
+    Rows are inserted shortest first into a monic echelon keyed by leading
+    column (no back-reduction).  Once the scalar updates exceed nrows * ncols
+    the pivot rows, which span every row inserted so far, and the rows not
+    yet inserted go to dense elimination instead.
+    """
     ncols = len(columns)
     if nrows == 0 or ncols == 0:
         return 0
-    a = np.zeros((nrows, ncols), dtype=np.int64)
+    rows = [{} for _ in range(nrows)]
     for j, col in enumerate(columns):
         for i, v in col.items():
-            a[i, j] = _residue(v, p)
-    return _numpy_rank(a, p)
+            r = _residue(v, p)
+            if r:
+                rows[i][j] = r
+    rows = sorted(filter(None, rows), key=len)
+    budget = nrows * ncols
+    work = 0
+    pivots = {}
+    for k, row in enumerate(rows):
+        while row:
+            lead = min(row)
+            prow = pivots.get(lead)
+            if prow is None:
+                inv = pow(row[lead], -1, p)
+                pivots[lead] = {c: v * inv % p for c, v in row.items()}
+                break
+            work += len(prow)
+            if work > budget:
+                rest = [*pivots.values(), row, *rows[k + 1:]]
+                a = np.zeros((len(rest), ncols), dtype=np.int64)
+                for i, r in enumerate(rest):
+                    a[i, list(r)] = list(r.values())
+                return _numpy_rank(a, p)
+            coeff = row[lead]
+            get = row.get
+            for c, v in prow.items():
+                acc = (get(c, 0) - coeff * v) % p
+                if acc:
+                    row[c] = acc
+                else:
+                    del row[c]
+    return len(pivots)
 
 
 def _numpy_rank(a, p):

@@ -12,7 +12,6 @@ from itertools import combinations
 
 from .exactlinalg import exact_rank
 from .groebner import Ideal
-from .polynomials import PolyRing
 from .scalars import QQ
 
 
@@ -74,21 +73,6 @@ class LinearFormMatrix:
             cleaned.append(tuple(entries))
         self.rows = tuple(cleaned)
         self.shape = (len(cleaned), width or 0)
-
-    @classmethod
-    def from_polys(cls, ring, poly_rows):
-        rows = []
-        for prow in poly_rows:
-            row = []
-            for poly in prow:
-                coeffs = [ring.field.zero] * ring.nvars
-                for exps, c in poly.terms.items():
-                    if sum(exps) != 1:
-                        raise ValueError("entry is not a linear form")
-                    coeffs[exps.index(1)] = c
-                row.append(coeffs)
-            rows.append(row)
-        return cls(ring, rows)
 
     def entry_poly(self, i, j):
         return self.ring.linear_form(self.rows[i][j])
@@ -181,12 +165,3 @@ class LinearFormMatrix:
                                          for j in range(r)) + "]")
         return "\n".join(lines)
 
-
-def matrix_rank(rows, field=QQ):
-    """Exact rank of a dense scalar matrix."""
-    return exact_rank(rows, field)
-
-
-def ring_for_vars(names, field=QQ, order=None):
-    from .polynomials import DEGREVLEX
-    return PolyRing(field, names, order or DEGREVLEX)

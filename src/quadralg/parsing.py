@@ -80,6 +80,7 @@ def parse_nc_terms(text, names, field, line=None):
             pos += 1
         if pos >= len(tokens):
             fail("dangling sign")
+        term_tok = tokens[pos]
         coeff = Fraction(sign)
         word = []
         expect_factor = True
@@ -121,9 +122,13 @@ def parse_nc_terms(text, names, field, line=None):
         if expect_factor:
             fail("term ends with '*'")
         w = tuple(word)
-        acc = terms.get(w, Fraction(0)) + coeff
+        try:
+            acc = terms.get(w, field.zero) + field(coeff)
+        except ZeroDivisionError:
+            fail(f"coefficient {coeff} has a denominator divisible by "
+                 f"{field.characteristic}", term_tok)
         if acc:
-            terms[w] = field(acc)
+            terms[w] = acc
         else:
             terms.pop(w, None)
     return terms
@@ -233,7 +238,11 @@ def parse_presentation_text(text, degree_cap=None):
     relations = []
     if skew_rows is not None:
         n = len(names)
-        q = [[field(skew_rows[a][b]) for b in range(n)] for a in range(n)]
+        try:
+            q = [[field(v) for v in row] for row in skew_rows]
+        except ZeroDivisionError:
+            raise ParseError("skew entry has a denominator divisible by "
+                             f"{field.characteristic}", skew_at) from None
         for a in range(n):
             if q[a][a] != field.one:
                 raise ParseError("skew matrix needs 1 on the diagonal",

@@ -204,10 +204,6 @@ class FreeModuleMap:
             rows.append(row)
         return LinearFormMatrix(ring, rows)
 
-    def min_entry_degree(self):
-        degs = [e.degree for row in self.entries for e in row if e]
-        return min(degs) if degs else None
-
     def __repr__(self):
         return (f"<map {self.nrows}x{self.ncols}, shifts "
                 f"{list(self.target_shifts)} <- {list(self.source_shifts)}>")

@@ -235,6 +235,8 @@ def shamash(presentation, P, f, length=None, internal_cap=None,
         raise ValueError("presentation mismatch")
     if not f:
         raise ValueError("zero element")
+    if length is not None and length < 1:
+        raise ValueError("length must be >= 1")
     m = f.degree
     if m > 2:
         raise NotImplementedError(
@@ -250,7 +252,7 @@ def shamash(presentation, P, f, length=None, internal_cap=None,
     if not is_regular_up_to(f, regularity_cap):
         raise NotRegularError(
             f"element is a zero divisor within degree {regularity_cap}")
-    L = length or P.length
+    L = P.length if length is None else length
     tower = HomotopyTower(P, f, sigma, max_k=L // 2)
     tower.solve(L)
     if m == 2:

@@ -136,6 +136,36 @@ def test_input_errors_exit_2(workdir, capsys):
     assert run(["point-variety", "sec5.pres", "--element", "w*w"]) == 2
 
 
+def test_shamash_length_zero_exits_2(workdir, capsys):
+    code = run(["shamash", "case2.pres",
+                "--element", "x1^2 + x2^2 + x3^2 + x4^2",
+                "-L", "0", "--json-out", "sh0.json"])
+    assert code == 2
+    assert "input error: length must be >= 1" in capsys.readouterr().err
+    assert not os.path.exists("sh0.json")
+
+
+def test_coefficient_not_in_prime_field_exits_2(workdir, capsys):
+    (workdir / "f7.pres").write_text("field 7\nvars x, y\n"
+                                     "rel x*y - 1/7*y*x\n")
+    assert run(["resolve", "f7.pres", "--json-out", "f7.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "divisible by 7" in err
+    (workdir / "s7.pres").write_text("field 7\nvars x, y\nskew\n"
+                                     "1 1/7\n7 1\n")
+    assert run(["resolve", "s7.pres", "--json-out", "s7.json"]) == 2
+    assert capsys.readouterr().err.startswith("input error:")
+
+
+@pytest.mark.parametrize("point", ["0,0", "1", "1,2,3", "1/0,1"])
+def test_sigma_bad_point_exits_2(workdir, capsys, point):
+    code = run(["sigma", "qplane.pres", "--point", point,
+                "--json-out", "sig.json"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("input error:")
+    assert not os.path.exists("sig.json")
+
+
 def test_invariant_breach_exits_3(workdir, monkeypatch):
     import quadralg.cli as cli_mod
     from quadralg.shamash import InvariantBreach

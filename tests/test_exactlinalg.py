@@ -2,8 +2,13 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from quadralg.exactlinalg import (RowSpace, exact_rank, invert_matrix,
-                                  mat_mul, modular_rank, nullspace,
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from quadralg import exactlinalg
+from quadralg.exactlinalg import (MODULAR_PRIMES, PrimeClash, RowSpace,
+                                  exact_rank, invert_matrix, mat_mul,
+                                  modular_rank, nullspace, rank_mod_p,
                                   rank_of_columns, solve_batch)
 from quadralg.scalars import QQ, GF
 
@@ -122,3 +127,103 @@ def test_invert_and_mul():
     assert prod == [[1, 0], [0, 1]]
     assert invert_matrix([[Fraction(1), Fraction(2)],
                           [Fraction(2), Fraction(4)]], QQ) is None
+
+
+# ---------------------------------------------------------- rank_mod_p
+
+RANK_PRIMES = (2, 3, 32003, MODULAR_PRIMES[0])
+
+
+@st.composite
+def column_matrices(draw):
+    """(p, columns, nrows): sparse or dense rational columns whose
+    denominators are prime to p, with some columns made dependent."""
+    p = draw(st.sampled_from(RANK_PRIMES))
+    nrows = draw(st.integers(0, 14))
+    ncols = draw(st.integers(0, 14))
+    value = st.builds(Fraction, st.integers(-2**40, 2**40),
+                      st.integers(1, 60).filter(lambda d: d % p))
+    if draw(st.booleans()):
+        rows = st.sets(st.integers(0, max(nrows - 1, 0)), max_size=3)
+    else:
+        rows = st.just(set(range(nrows)))
+    columns = []
+    for _ in range(ncols):
+        columns.append({i: draw(value) for i in sorted(draw(rows))
+                        if i < nrows})
+    for _ in range(draw(st.integers(0, 4)) if columns else 0):
+        a, b = (draw(st.sampled_from(columns)) for _ in range(2))
+        s, t = draw(value), draw(value)
+        combo = {i: s * a.get(i, 0) + t * b.get(i, 0) for i in {*a, *b}}
+        columns.append({i: v for i, v in combo.items() if v})
+    return p, columns, nrows
+
+
+def _rowspace_rank(columns, p):
+    field = GF(p)
+    rows = {}
+    for j, col in enumerate(columns):
+        for i, v in col.items():
+            rows.setdefault(i, {})[j] = field(v)
+    space = RowSpace(field)
+    for row in rows.values():
+        space.add({j: v for j, v in row.items() if v})
+    return space.rank
+
+
+@settings(max_examples=150, deadline=None)
+@given(column_matrices())
+def test_rank_mod_p_agrees_with_rowspace(case):
+    p, columns, nrows = case
+    assert rank_mod_p(columns, nrows, p) == _rowspace_rank(columns, p)
+
+
+@pytest.fixture
+def numpy_rank_calls(monkeypatch):
+    calls = []
+    real = exactlinalg._numpy_rank
+
+    def spy(a, p):
+        calls.append(a.shape)
+        return real(a, p)
+
+    monkeypatch.setattr(exactlinalg, "_numpy_rank", spy)
+    return calls
+
+
+def test_dense_matrix_takes_the_dense_handoff(numpy_rank_calls):
+    rng = random.Random(11)
+    n = 40
+    columns = [{i: Fraction(rng.randint(1, 1000)) for i in range(n)}
+               for _ in range(n)]
+    p = MODULAR_PRIMES[0]
+    assert rank_mod_p(columns, n, p) == _rowspace_rank(columns, p)
+    assert len(numpy_rank_calls) == 1
+
+
+def test_band_matrix_stays_sparse(numpy_rank_calls):
+    rng = random.Random(12)
+    n = 40
+    columns = [{i: Fraction(rng.randint(1, 1000))
+                for i in range(max(j - 2, 0), min(j + 3, n))}
+               for j in range(n)]
+    p = MODULAR_PRIMES[0]
+    assert rank_mod_p(columns, n, p) == _rowspace_rank(columns, p)
+    assert numpy_rank_calls == []
+
+
+def test_modular_rank_moves_past_a_clashing_prime(monkeypatch):
+    columns = [{0: Fraction(1, MODULAR_PRIMES[0]), 1: Fraction(1)},
+               {0: Fraction(2), 1: Fraction(3)}]
+    with pytest.raises(PrimeClash):
+        rank_mod_p(columns, 2, MODULAR_PRIMES[0])
+    tried = []
+    real = exactlinalg.rank_mod_p
+
+    def spy(cols, nrows, p):
+        tried.append(p)
+        return real(cols, nrows, p)
+
+    monkeypatch.setattr(exactlinalg, "rank_mod_p", spy)
+    assert modular_rank(columns, 2) == 2
+    assert tried == list(MODULAR_PRIMES[:2])

@@ -44,6 +44,17 @@ def test_kx_mod_x_squared_minimal():
         assert d.entries[0][0] == xb
 
 
+def test_shamash_length_zero_is_rejected_not_defaulted():
+    """Only length=None means the base resolution's length."""
+    A = QuadraticPresentation.commutative(QQ, ["x"])
+    P = linear_resolution(A, "right", 3)
+    x = A.generator(0)
+    with pytest.raises(ValueError, match="length"):
+        shamash(A, P, x * x, length=0)
+    T, _ = shamash(A, P, x * x)
+    assert T.length == P.length
+
+
 def test_lift_zero_gives_zero(quantum_plane):
     P = linear_resolution(quantum_plane, "right", 3)
     d2 = P.maps[1]
