@@ -5,10 +5,9 @@ Everything here is exact.  ``rank_mod_p`` computes rank over F_p, which is a
 certified LOWER bound for the rank over QQ of an integer matrix; callers
 combine such bounds into exact certificates and fall back to rational
 elimination when the certificate does not close.  The kernel eliminates the
-sparse rows in Python integers mod p, shortest rows first, and hands the
-rest to dense numpy elimination only when the sparse work exceeds one dense
-sweep of the matrix (nrows x ncols scalar updates), which is where fill-in
-makes dense elimination pay.
+sparse rows in Python integers mod p, shortest rows first; the certificate
+matrices are far below 1 % dense and fill in little, so sparse elimination
+is the whole kernel.
 """
 
 from __future__ import annotations
@@ -16,12 +15,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-import numpy as np
-
 from .scalars import QQ, FpElement
 
-# Primes just under 2^31: the sparse path works in Python integers, and the
-# dense handoff needs the product of two reduced entries to fit in int64.
+# Primes just under 2^31: large enough that a random rank drop mod p is
+# rare, so the certificates close without the rational fallback.
 MODULAR_PRIMES = (2147483647, 2147483629, 2147483587)
 
 
@@ -251,24 +248,16 @@ def rank_mod_p(columns, nrows, p):
     denominator hits p.
 
     Rows are inserted shortest first into a monic echelon keyed by leading
-    column (no back-reduction).  Once the scalar updates exceed nrows * ncols
-    the pivot rows, which span every row inserted so far, and the rows not
-    yet inserted go to dense elimination instead.
+    column, with no back-reduction.
     """
-    ncols = len(columns)
-    if nrows == 0 or ncols == 0:
-        return 0
     rows = [{} for _ in range(nrows)]
     for j, col in enumerate(columns):
         for i, v in col.items():
             r = _residue(v, p)
             if r:
                 rows[i][j] = r
-    rows = sorted(filter(None, rows), key=len)
-    budget = nrows * ncols
-    work = 0
     pivots = {}
-    for k, row in enumerate(rows):
+    for row in sorted(filter(None, rows), key=len):
         while row:
             lead = min(row)
             prow = pivots.get(lead)
@@ -276,13 +265,6 @@ def rank_mod_p(columns, nrows, p):
                 inv = pow(row[lead], -1, p)
                 pivots[lead] = {c: v * inv % p for c, v in row.items()}
                 break
-            work += len(prow)
-            if work > budget:
-                rest = [*pivots.values(), row, *rows[k + 1:]]
-                a = np.zeros((len(rest), ncols), dtype=np.int64)
-                for i, r in enumerate(rest):
-                    a[i, list(r)] = list(r.values())
-                return _numpy_rank(a, p)
             coeff = row[lead]
             get = row.get
             for c, v in prow.items():
@@ -292,29 +274,6 @@ def rank_mod_p(columns, nrows, p):
                 else:
                     del row[c]
     return len(pivots)
-
-
-def _numpy_rank(a, p):
-    nrows, ncols = a.shape
-    rank = 0
-    for col in range(ncols):
-        sub = a[rank:, col]
-        nz = np.nonzero(sub)[0]
-        if nz.size == 0:
-            continue
-        piv = rank + int(nz[0])
-        if piv != rank:
-            a[[rank, piv]] = a[[piv, rank]]
-        inv = pow(int(a[rank, col]), -1, p)
-        a[rank] = (a[rank] * inv) % p
-        below = np.nonzero(a[rank + 1:, col])[0]
-        if below.size:
-            idx = below + rank + 1
-            a[idx] = (a[idx] - np.outer(a[idx, col], a[rank])) % p
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
 
 
 def modular_rank(columns, nrows):

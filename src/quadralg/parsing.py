@@ -50,7 +50,12 @@ def _tokenize(text, line=None):
             raise ParseError(f"unexpected character {rest[0]!r}", line,
                              pos + 1)
         if m.group("num"):
-            out.append(("num", Fraction(m.group("num")), m.start() + 1))
+            try:
+                value = Fraction(m.group("num"))
+            except ZeroDivisionError:
+                raise ParseError("zero denominator", line,
+                                 m.start() + 1) from None
+            out.append(("num", value, m.start() + 1))
         elif m.group("name"):
             out.append(("name", m.group("name"), m.start() + 1))
         else:
@@ -224,7 +229,7 @@ def parse_presentation_text(text, degree_cap=None):
                         row_no)
                 try:
                     skew_rows.append([Fraction(e) for e in entries])
-                except ValueError:
+                except (ValueError, ZeroDivisionError):
                     raise ParseError("bad rational in skew row",
                                      row_no) from None
             if len(skew_rows) != n:

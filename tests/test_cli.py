@@ -157,6 +157,15 @@ def test_coefficient_not_in_prime_field_exits_2(workdir, capsys):
     assert capsys.readouterr().err.startswith("input error:")
 
 
+@pytest.mark.parametrize("text", ["vars x, y\nrel x*y - 1/0*y*x\n",
+                                  "vars x, y\nskew\n1 1/0\n1 1\n"])
+def test_zero_denominator_exits_2(workdir, capsys, text):
+    (workdir / "z.pres").write_text(text)
+    assert run(["resolve", "z.pres", "--json-out", "z.json"]) == 2
+    assert capsys.readouterr().err.startswith("input error:")
+    assert not os.path.exists("z.json")
+
+
 @pytest.mark.parametrize("point", ["0,0", "1", "1,2,3", "1/0,1"])
 def test_sigma_bad_point_exits_2(workdir, capsys, point):
     code = run(["sigma", "qplane.pres", "--point", point,
