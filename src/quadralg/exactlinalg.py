@@ -1,13 +1,15 @@
 """Exact linear algebra: sparse reduced row echelon form, fraction-free rank,
-nullspaces, batched linear solves, and a sparse-first mod-p rank kernel.
+nullspaces, batched linear solves, and a sparse mod-p rank kernel.
 
 Everything here is exact.  ``rank_mod_p`` computes rank over F_p, which is a
 certified LOWER bound for the rank over QQ of an integer matrix; callers
 combine such bounds into exact certificates and fall back to rational
 elimination when the certificate does not close.  The kernel eliminates the
-sparse rows in Python integers mod p, shortest rows first; the certificate
-matrices are far below 1 % dense and fill in little, so sparse elimination
-is the whole kernel.
+sparse rows in Python integers mod p, shortest rows first.  The certificate
+matrices of algebras with monomial or binomial relations (the skew and
+commutative families) are far below 1 % dense and fill in little; relations
+with many terms give denser matrices, where this kernel is several times
+slower than dense elimination would be.
 """
 
 from __future__ import annotations
