@@ -9,7 +9,7 @@ the (G1) condition, point-exactness), all over exact scalar fields.
 from .scalars import QQ, GF
 from .polynomials import (PolyRing, CommPoly, DEGREVLEX, DEGLEX, LEX,
                           order_from_name, render_poly)
-from .groebner import (Ideal, groebner, radical_member, variety_equal,
+from .groebner import (Ideal, radical_member, variety_equal,
                        projective_empty, intersect, intersect_all)
 from .linearforms import ProjPoint, LinearFormMatrix
 from .algebra import (QuadraticPresentation, AlgebraElement,

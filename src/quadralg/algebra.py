@@ -11,13 +11,12 @@ products, automorphism actions and conversions.
 
 from __future__ import annotations
 
-import os
-
-from .exactlinalg import (RowSpace, invert_matrix, mat_mul, modular_rank,
+from .exactlinalg import (RowSpace, add_scaled, columns_to_rows,
+                          invert_matrix, mat_mul, modular_rank, nullspace,
                           rank_of_columns, solve_batch)
 from .scalars import QQ, field_descriptor
 
-DEFAULT_DEGREE_CAP = int(os.environ.get("QUADRALG_DEGREE_CAP", "8"))
+DEFAULT_DEGREE_CAP = 8
 
 
 class DegreeCapExceeded(RuntimeError):
@@ -170,16 +169,9 @@ class QuadraticPresentation:
                     for col, c in rel.items():
                         u, v = divmod(col, n)
                         mid = prev.step.get((b, u))
-                        if not mid:
-                            continue
-                        for i, s in mid.items():
-                            key = i * n + v
-                            acc = vec.get(key)
-                            acc = c * s if acc is None else acc + c * s
-                            if acc:
-                                vec[key] = acc
-                            else:
-                                del vec[key]
+                        if mid:
+                            add_scaled(vec, {i * n + v: s
+                                             for i, s in mid.items()}, c)
                     if vec:
                         space.add(vec)
             pivots = space.pivots
@@ -220,54 +212,42 @@ class QuadraticPresentation:
         out = {}
         for word, c in word_coeffs.items():
             c = self.field(c)
-            if not c:
-                continue
-            vec = {0: c}
-            k = 0
-            for letter in word:
-                comp = self.component(k + 1)
+            if c:
+                add_scaled(out, self.walk({0: c}, 0, word))
+        return AlgebraElement(self, degree, out)
+
+    def walk(self, vec, k, word, linmap=None):
+        """Multiply the A_k coordinates ``vec`` on the right by the letters
+        of ``word`` in turn; returns coordinates in A_{k + len(word)}.
+
+        Letter u stands for the generator x_u, or with ``linmap`` for the
+        degree-1 form ``linmap[u]`` of this presentation (see
+        ``convert_element``).
+        """
+        for letter in word:
+            if linmap is not None:
+                vec = self.multiply_by_linear(vec, k, linmap[letter])
+            else:
+                step = self.component(k + 1).step
                 nxt = {}
                 for i, v in vec.items():
-                    img = comp.step.get((i, letter))
-                    if not img:
-                        continue
-                    for t, s in img.items():
-                        acc = nxt.get(t)
-                        acc = v * s if acc is None else acc + v * s
-                        if acc:
-                            nxt[t] = acc
-                        else:
-                            del nxt[t]
+                    img = step.get((i, letter))
+                    if img:
+                        add_scaled(nxt, img, v)
                 vec = nxt
-                k += 1
-            for t, v in vec.items():
-                acc = out.get(t)
-                acc = v if acc is None else acc + v
-                if acc:
-                    out[t] = acc
-                else:
-                    del out[t]
-        return AlgebraElement(self, degree, out)
+            k += 1
+        return vec
 
     def multiply_by_linear(self, coords, k, linform):
         """A_k coords times a degree-1 form (coefficient sequence)."""
-        comp = self.component(k + 1)
+        step = self.component(k + 1).step
         out = {}
         for i, v in coords.items():
             for u, c in enumerate(linform):
-                if not c:
-                    continue
-                img = comp.step.get((i, u))
-                if not img:
-                    continue
-                vc = v * c
-                for t, s in img.items():
-                    acc = out.get(t)
-                    acc = vc * s if acc is None else acc + vc * s
-                    if acc:
-                        out[t] = acc
-                    else:
-                        del out[t]
+                if c:
+                    img = step.get((i, u))
+                    if img:
+                        add_scaled(out, img, v * c)
         return out
 
     # ---- presentation-level operations ----------------------------------
@@ -326,20 +306,9 @@ class QuadraticPresentation:
             new = {}
             for col, c in row.items():
                 u, v = divmod(col, n)
-                for s, cs in enumerate(subst[u]):
-                    if not cs:
-                        continue
-                    for t, ct in enumerate(subst[v]):
-                        if not ct:
-                            continue
-                        key = (s, t)
-                        acc = new.get(key)
-                        val = c * cs * ct
-                        acc = val if acc is None else acc + val
-                        if acc:
-                            new[key] = acc
-                        else:
-                            del new[key]
+                add_scaled(new, {(s, t): cs * ct
+                                 for s, cs in enumerate(subst[u]) if cs
+                                 for t, ct in enumerate(subst[v]) if ct}, c)
             if new:
                 rels.append(new)
         names = tuple(self.names[u] for u in keep)
@@ -376,17 +345,9 @@ class AlgebraElement:
         self._check(other)
         if self.degree != other.degree and self.coords and other.coords:
             raise ValueError("cannot add elements of different degrees")
-        out = dict(self.coords)
-        for i, c in other.coords.items():
-            acc = out.get(i)
-            acc = c if acc is None else acc + c
-            if acc:
-                out[i] = acc
-            else:
-                del out[i]
         return AlgebraElement(self.presentation,
                               self.degree if self.coords else other.degree,
-                              out)
+                              add_scaled(dict(self.coords), other.coords))
 
     def __neg__(self):
         return AlgebraElement(self.presentation, self.degree,
@@ -411,32 +372,8 @@ class AlgebraElement:
         comp_other = pres.component(other.degree)
         out = {}
         for i, c in other.coords.items():
-            word = comp_other.words[i]
-            vec = {k: v * c for k, v in self.coords.items()}
-            k = self.degree
-            for letter in word:
-                comp = pres.component(k + 1)
-                nxt = {}
-                for a, v in vec.items():
-                    img = comp.step.get((a, letter))
-                    if not img:
-                        continue
-                    for t, s in img.items():
-                        acc = nxt.get(t)
-                        acc = v * s if acc is None else acc + v * s
-                        if acc:
-                            nxt[t] = acc
-                        else:
-                            del nxt[t]
-                vec = nxt
-                k += 1
-            for t, v in vec.items():
-                acc = out.get(t)
-                acc = v if acc is None else acc + v
-                if acc:
-                    out[t] = acc
-                else:
-                    del out[t]
+            add_scaled(out, pres.walk(self.coords, self.degree,
+                                      comp_other.words[i]), c)
         return AlgebraElement(pres, out_deg, out)
 
     __rmul__ = scale
@@ -544,30 +481,12 @@ class GradedAutomorphism:
             out = out.compose(self)
         return out
 
-    def column(self, j):
-        return [self.matrix[i][j] for i in range(self.presentation.n)]
-
     def __call__(self, element):
         """Apply multiplicatively to a homogeneous element."""
         if element.presentation is not self.presentation:
             raise ValueError("element of another presentation")
-        pres = self.presentation
-        comp = pres.component(element.degree)
-        out = {}
-        for i, c in element.coords.items():
-            vec = {0: c}
-            k = 0
-            for letter in comp.words[i]:
-                vec = pres.multiply_by_linear(vec, k, self.column(letter))
-                k += 1
-            for t, v in vec.items():
-                acc = out.get(t)
-                acc = v if acc is None else acc + v
-                if acc:
-                    out[t] = acc
-                else:
-                    del out[t]
-        return AlgebraElement(pres, element.degree, out)
+        return convert_element(element, self.presentation,
+                               list(zip(*self.matrix)))
 
     def __eq__(self, other):
         return (isinstance(other, GradedAutomorphism)
@@ -622,20 +541,14 @@ def is_normal(f):
     field = pres.field
     m = f.degree
     dim = pres.component(m + 1).dim
-    left_cols = []
-    for u in range(n):
-        left_cols.append((pres.generator(u) * f).coords)
-    rows = [{} for _ in range(dim)]
-    for u, col in enumerate(left_cols):
-        for t, v in col.items():
-            rows[t][u] = v
+    rows = columns_to_rows([(pres.generator(u) * f).coords
+                            for u in range(n)], dim)
     rhs = [(f * pres.generator(j)).coords for j in range(n)]
     sols = solve_batch(rows, n, rhs, field)
     if any(s is None for s in sols):
         return None
     candidates = [[[sols[j].get(u, field.zero) for j in range(n)]
                    for u in range(n)]]
-    from .exactlinalg import nullspace
     kernel = nullspace(rows, n, field)
     for kv in kernel:
         shifted = [[candidates[0][u][j] + kv.get(u, field.zero)
@@ -658,26 +571,12 @@ def convert_element(element, target, linmap=None):
     generator count, e.g. a quotient by a degree-2 element).
     """
     src = element.presentation
-    if linmap is None:
-        if target.n != src.n:
-            raise ValueError("generator counts differ; supply linmap")
-        linmap = [[target.field.one if i == j else target.field.zero
-                   for i in range(target.n)] for j in range(src.n)]
-    comp = src.component(element.degree)
+    if linmap is None and target.n != src.n:
+        raise ValueError("generator counts differ; supply linmap")
+    words = src.component(element.degree).words
     out = {}
     for i, c in element.coords.items():
-        vec = {0: target.field(c)}
-        k = 0
-        for letter in comp.words[i]:
-            vec = target.multiply_by_linear(vec, k, linmap[letter])
-            k += 1
-        for t, v in vec.items():
-            acc = out.get(t)
-            acc = v if acc is None else acc + v
-            if acc:
-                out[t] = acc
-            else:
-                del out[t]
+        add_scaled(out, target.walk({0: target.field(c)}, 0, words[i], linmap))
     return AlgebraElement(target, element.degree, out)
 
 

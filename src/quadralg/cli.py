@@ -18,7 +18,8 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .algebra import DegreeCapExceeded, is_normal, is_regular_up_to
+from .algebra import (DEFAULT_DEGREE_CAP, DegreeCapExceeded, is_normal,
+                      is_regular_up_to)
 from .geometry import (check_g1, check_point_exact, point_variety,
                        sigma_at, _small_points_on)
 from .groebner import variety_equal
@@ -93,15 +94,23 @@ def _parser():
 
 
 def _load(args):
-    """Check length and cap, parse the presentation and the element.
+    """Check length, cap and max degree, parse the presentation and the
+    element.  The only reader of ``QUADRALG_DEGREE_CAP``.
 
     Returns (presentation, cap, element or None).
     """
     cap = args.cap
     if cap is None:
-        cap = int(os.environ.get("QUADRALG_DEGREE_CAP", "8"))
+        raw = os.environ.get("QUADRALG_DEGREE_CAP", str(DEFAULT_DEGREE_CAP))
+        try:
+            cap = int(raw)
+        except ValueError:
+            raise ParseError("QUADRALG_DEGREE_CAP must be an integer, "
+                             f"got {raw!r}") from None
     if args.length < 1:
         raise ParseError("length must be >= 1")
+    if getattr(args, "max_degree", 0) < 0:
+        raise ParseError("max degree must be >= 0")
     if cap < args.length + 2:
         cap = args.length + 2
     pres = parse_presentation_file(args.presentation, degree_cap=cap)

@@ -1,5 +1,6 @@
-"""Exact linear algebra: sparse reduced row echelon form, fraction-free rank,
-nullspaces, batched linear solves, and a sparse mod-p rank kernel.
+"""Exact linear algebra: the sparse-vector helpers (accumulate, transpose),
+sparse reduced row echelon form, fraction-free rank, nullspaces, batched
+linear solves, and a sparse mod-p rank kernel.
 
 Everything here is exact.  ``rank_mod_p`` computes rank over F_p, which is a
 certified LOWER bound for the rank over QQ of an integer matrix; callers
@@ -22,6 +23,32 @@ from .scalars import QQ, FpElement
 # Primes just under 2^31: large enough that a random rank drop mod p is
 # rare, so the certificates close without the rational fallback.
 MODULAR_PRIMES = (2147483647, 2147483629, 2147483587)
+
+
+def add_scaled(out, vec, c=None):
+    """``out += c * vec`` in place for sparse dicts (``c=None`` adds ``vec``
+    itself); entries that reach zero are dropped.  Returns ``out``."""
+    get = out.get
+    for k, v in vec.items():
+        if c is not None:
+            v = c * v
+        acc = get(k)
+        acc = v if acc is None else acc + v
+        if acc:
+            out[k] = acc
+        else:
+            out.pop(k, None)
+    return out
+
+
+def columns_to_rows(columns, nrows):
+    """Transpose a sparse-column matrix: the list of its ``nrows`` sparse
+    rows, indexed by row."""
+    rows = [{} for _ in range(nrows)]
+    for j, col in enumerate(columns):
+        for i, v in col.items():
+            rows[i][j] = v
+    return rows
 
 
 class RowSpace:
@@ -55,17 +82,10 @@ class RowSpace:
                 break
             for col in sorted(hit):
                 coeff = vec.get(col)
-                if not coeff:
+                if coeff:
+                    add_scaled(vec, pivots[col], -coeff)
+                else:
                     vec.pop(col, None)
-                    continue
-                row = pivots[col]
-                for c, v in row.items():
-                    acc = vec.get(c)
-                    acc = -coeff * v if acc is None else acc - coeff * v
-                    if acc:
-                        vec[c] = acc
-                    else:
-                        vec.pop(c, None)
         return vec
 
     def add(self, vec):
@@ -80,13 +100,7 @@ class RowSpace:
         for col, other in self.pivots.items():
             coeff = other.get(lead)
             if coeff:
-                for c, v in row.items():
-                    acc = other.get(c)
-                    acc = -coeff * v if acc is None else acc - coeff * v
-                    if acc:
-                        other[c] = acc
-                    else:
-                        other.pop(c, None)
+                add_scaled(other, row, -coeff)
         self.pivots[lead] = row
         return True
 
@@ -295,12 +309,8 @@ def modular_rank(columns, nrows):
 def rank_of_columns(columns, nrows, field=QQ):
     """Exact rank of a sparse-column matrix over the field."""
     if field == QQ:
-        rows = {}
-        for j, col in enumerate(columns):
-            for i, v in col.items():
-                rows.setdefault(i, {})[j] = v
         space = RowSpace(field)
-        for r in rows.values():
+        for r in columns_to_rows(columns, nrows):
             space.add(r)
         return space.rank
     dense = [[field.zero] * len(columns) for _ in range(nrows)]

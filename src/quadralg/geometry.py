@@ -240,6 +240,8 @@ def check_point_exact(presentation, side, max_degree, resolutions=None,
     conclusive negative with witness.  ``seed`` only shuffles the scan
     order, never a verdict.
     """
+    if max_degree < 0:
+        raise ValueError("max_degree must be >= 0")
     if side == "both":
         right = check_point_exact(presentation, "right", max_degree,
                                   resolutions, sample_prefilter, seed)

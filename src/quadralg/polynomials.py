@@ -11,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+from .exactlinalg import add_scaled
 from .scalars import QQ, field_descriptor
 
 
@@ -201,15 +202,7 @@ class CommPoly:
         if isinstance(other, (int, Fraction)):
             other = self.ring.constant(other)
         self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            acc = out.get(e)
-            acc = c if acc is None else acc + c
-            if acc:
-                out[e] = acc
-            else:
-                del out[e]
-        return CommPoly(self.ring, out)
+        return CommPoly(self.ring, add_scaled(dict(self.terms), other.terms))
 
     __radd__ = __add__
 

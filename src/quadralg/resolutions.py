@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .algebra import AlgebraElement, GradedAutomorphism
-from .exactlinalg import modular_rank, nullspace, rank_of_columns, solve_batch
+from .exactlinalg import (columns_to_rows, modular_rank, nullspace,
+                          rank_of_columns, solve_batch)
 from .linearforms import LinearFormMatrix
 from .polynomials import PolyRing, DEGREVLEX
 
@@ -152,16 +153,24 @@ class FreeModuleMap:
             self.presentation, self.target_shifts, self.source_shifts,
             [[tau(e) if e else e for e in row] for row in self.entries])
 
+    def row_offsets(self, e):
+        """Where each target generator's block of A_{e - shift} starts in
+        the rows of the internal-degree-e scalar matrix; returns (offsets,
+        nrows)."""
+        pres = self.presentation
+        offsets = []
+        total = 0
+        for t in self.target_shifts:
+            offsets.append(total)
+            d = e - t
+            total += pres.dim(d) if d >= 0 else 0
+        return offsets, total
+
     def degree_columns(self, e):
         """Scalar matrix of the internal-degree-e component, as sparse
         columns; returns (columns, nrows, col_labels)."""
         pres = self.presentation
-        row_offsets = []
-        total_rows = 0
-        for t in self.target_shifts:
-            row_offsets.append(total_rows)
-            d = e - t
-            total_rows += pres.dim(d) if d >= 0 else 0
+        row_offsets, total_rows = self.row_offsets(e)
         columns = []
         labels = []
         for j, s in enumerate(self.source_shifts):
@@ -445,11 +454,7 @@ def linear_resolution(presentation, side="right", length=6, check="raise"):
     for i in range(1, length):
         d = maps[-1]
         cols, nrows, labels = d.degree_columns(i + 1)
-        rows = {}
-        for cidx, col in enumerate(cols):
-            for r, v in col.items():
-                rows.setdefault(r, {})[cidx] = v
-        null = nullspace(list(rows.values()), len(cols), field)
+        null = nullspace(columns_to_rows(cols, nrows), len(cols), field)
         s_next = len(null)
         src = d.source_shifts
         entries = []

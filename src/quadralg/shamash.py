@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from .algebra import AlgebraElement, convert_element, is_normal, \
     is_regular_up_to
-from .exactlinalg import solve_batch
+from .exactlinalg import columns_to_rows, solve_batch
 from .resolutions import (FreeComplex, FreeModuleMap, verify_complex,
                           zero_map)
 
@@ -81,17 +81,8 @@ def lift_against(d_next, rhs):
     entries = [[None] * len(src) for _ in tgt]
     for e, col_idx in by_degree.items():
         cols, nrows, labels = d_next.degree_columns(e)
-        rows = {}
-        for cidx, col in enumerate(cols):
-            for r, v in col.items():
-                rows.setdefault(r, {})[cidx] = v
         # rhs vectors in the same row indexing
-        row_offsets = []
-        total = 0
-        for t in d_next.target_shifts:
-            row_offsets.append(total)
-            d = e - t
-            total += pres.dim(d) if d >= 0 else 0
+        row_offsets, _ = d_next.row_offsets(e)
         rhs_vecs = []
         for j in col_idx:
             vec = {}
@@ -103,8 +94,8 @@ def lift_against(d_next, rhs):
                 for t, c in ent.coords.items():
                     vec[off + t] = c
             rhs_vecs.append(vec)
-        eq_rows = [rows.get(r, {}) for r in range(total)]
-        sols = solve_batch(eq_rows, len(cols), rhs_vecs, field)
+        sols = solve_batch(columns_to_rows(cols, nrows), len(cols), rhs_vecs,
+                           field)
         for j, sol in zip(col_idx, sols):
             if sol is None:
                 raise HomotopyLiftError(

@@ -4,12 +4,13 @@ from itertools import product
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quadralg.algebra import (DegreeCapExceeded, GradedAutomorphism,
                               QuadraticPresentation, convert_element,
                               is_normal, is_regular_up_to, opposite_element)
 from quadralg.exactlinalg import RowSpace
-from quadralg.scalars import QQ
+from quadralg.scalars import GF, QQ
 from conftest import sum_of_squares
 
 
@@ -243,3 +244,48 @@ def test_convert_element_identity_map(quantum_plane):
     assert image.degree == 2
     # x^2 dies in the quotient
     assert convert_element(x * x, B).is_zero()
+
+
+@st.composite
+def dense_relation_cases(draw):
+    """A quadratic algebra whose relations use many monomials, two words
+    and a nonzero scalar: the step tables then have many entries per
+    (basis word, letter), unlike those of skew or monomial algebras."""
+    field = draw(st.sampled_from([QQ, GF(7)]))
+    n = draw(st.integers(2, 3))
+    coeff = st.integers(-3, 3)
+    rels = draw(st.lists(
+        st.lists(st.lists(coeff, min_size=n, max_size=n),
+                 min_size=n, max_size=n), min_size=1, max_size=3))
+    pres = QuadraticPresentation.create(field, [f"dv{i}" for i in range(n)],
+                                        rels)
+    word = st.lists(st.integers(0, n - 1), max_size=3).map(tuple)
+    w1, w2 = draw(word), draw(word)
+    d = len(w1)
+    terms = draw(st.dictionaries(
+        st.lists(st.integers(0, n - 1), min_size=d, max_size=d).map(tuple),
+        coeff, min_size=1, max_size=4))
+    lam = draw(st.sampled_from([2, -3, Fraction(1, 2), Fraction(-5, 3)]))
+    return pres, w1, w2, terms, field(lam)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dense_relation_cases())
+def test_word_walks_agree_on_dense_relations(case):
+    pres, w1, w2, terms, lam = case
+    field = pres.field
+    a = pres.from_word_coeffs(len(w1), {w1: 1})
+    b = pres.from_word_coeffs(len(w2), {w2: 1})
+    assert pres.from_word_coeffs(len(w1 + w2), {w1 + w2: 1}) == a * b
+    el = pres.from_word_coeffs(len(w1), terms)
+
+    def diagonal(c):
+        return [[c if i == j else field.zero for j in range(pres.n)]
+                for i in range(pres.n)]
+
+    power = field.one
+    for _ in range(len(w1)):
+        power = power * lam
+    assert GradedAutomorphism(pres, diagonal(lam))(el) == el.scale(power)
+    assert convert_element(el, pres) == el
+    assert convert_element(el, pres, diagonal(field.one)) == el

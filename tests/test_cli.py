@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import quadralg
 from quadralg.cli import main
 
 QPLANE = """field QQ
@@ -202,3 +205,35 @@ def test_report_subcommand(workdir):
     assert set(doc["results"]) == {"resolutions", "point_varieties", "g1",
                                    "point_exact"}
     assert doc["tool_version"]
+
+
+def test_bad_degree_cap_variable_does_not_break_import(monkeypatch):
+    src = os.path.dirname(os.path.dirname(quadralg.__file__))
+    env = dict(os.environ, QUADRALG_DEGREE_CAP="abc", PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", "import quadralg"],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_bad_degree_cap_variable_exits_2(workdir, capsys, monkeypatch):
+    monkeypatch.setenv("QUADRALG_DEGREE_CAP", "abc")
+    assert run(["resolve", "qplane.pres", "--json-out", "cap.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "QUADRALG_DEGREE_CAP" in err
+    assert "Traceback" not in err
+    assert not os.path.exists("cap.json")
+
+
+def test_degree_cap_variable_sets_the_cap(workdir, monkeypatch):
+    monkeypatch.setenv("QUADRALG_DEGREE_CAP", "5")
+    assert run(["resolve", "qplane.pres", "-L", "2",
+                "--json-out", "cap.json"]) == 0
+    assert load("cap.json")["config"]["cap"] == 5
+
+
+@pytest.mark.parametrize("command", ["check-point-exact", "report"])
+def test_negative_max_degree_exits_2(workdir, capsys, command):
+    assert run([command, "qplane.pres", "--max-degree", "-1",
+                "--json-out", "md.json"]) == 2
+    assert capsys.readouterr().err.startswith("input error:")
+    assert not os.path.exists("md.json")

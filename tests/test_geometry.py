@@ -172,6 +172,12 @@ def test_point_exact_small_quantum_polynomials(quantum_plane, sec5_algebra):
     assert rep_r.ok and rep_l.ok
 
 
+@pytest.mark.parametrize("side", ["right", "both"])
+def test_point_exact_rejects_negative_max_degree(quantum_plane, side):
+    with pytest.raises(ValueError):
+        check_point_exact(quantum_plane, side, -1)
+
+
 def test_point_exact_negative_control(negative_control):
     rep = check_point_exact(negative_control, "right", 2)
     assert not rep.ok

@@ -203,3 +203,11 @@ def test_configurable_order():
     # idempotence per order
     assert [q.terms for q in groebner(list(lex_gb.polys), order=LEX).polys] \
         == [q.terms for q in lex_gb.polys]
+
+
+def test_package_attribute_is_the_submodule():
+    import types
+    import quadralg
+    import quadralg.groebner as G
+    assert isinstance(quadralg.groebner, types.ModuleType)
+    assert G is quadralg.groebner and callable(G.groebner)
