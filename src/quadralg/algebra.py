@@ -1,15 +1,30 @@
 """Quadratic graded algebras T(V)/(R): presentations, graded components,
 elements, multiplication, normal/regular elements, automorphisms, quotients.
 
-A graded component A_d is built iteratively as a quotient of A_{d-1} (x) V by
-the image of A_{d-2} (x) R; its basis is the set of "normal words" (tensor
-monomials avoiding the reduced-row-echelon pivots), which reproduces the
-direct RREF complement of R_d inside V^(x)d with lex-ordered monomials.  The
-per-letter multiplication tables that fall out of the echelon rows drive all
-products, automorphism actions and conversions.
+The relations are stored as the reduced row echelon basis of R in the word
+coordinates u*n + v, each row monic at its least column: its leading 2-word.
+A graded component A_d has a basis of "normal words" in lex order and a
+per-letter table ``step`` that multiplies a basis word of A_{d-1} on the
+right by a generator.  These tables drive all products, automorphism
+actions and conversions.  Two builders fill them, with identical results:
+
+* Elimination (A_0..A_3, and every degree of a non-PBW presentation).  A_d
+  is the quotient of A_{d-1} (x) V by the image of A_{d-2} (x) R; the normal
+  words avoid the pivots of the reduced row echelon form of that image.
+* Rewriting (d >= 4, PBW presentations).  The relations are a quadratic
+  Groebner basis exactly when dim A_3 equals the number of 3-words that
+  contain no leading 2-word (Bergman's diamond lemma: the only ambiguities
+  of quadratic rules are overlaps of length 3).  Then the normal words of
+  every A_d are the words avoiding the leading 2-words, and a product w*a
+  that ends in a leading word is rewritten by its relation and walked
+  through tables already built, with no elimination.  Such algebras are
+  PBW, hence Koszul.  The test runs once per presentation, at its first
+  component of degree >= 4.
 """
 
 from __future__ import annotations
+
+import weakref
 
 from .exactlinalg import (RowSpace, add_scaled, columns_to_rows,
                           invert_matrix, mat_mul, modular_rank, nullspace,
@@ -23,7 +38,9 @@ class DegreeCapExceeded(RuntimeError):
     pass
 
 
-_INTERN = {}
+# Live presentations by (field, names, relation rows, degree cap), so equal
+# presentations are one object while any of them is referenced.
+_INTERN = weakref.WeakValueDictionary()
 
 
 class GradedComponent:
@@ -46,29 +63,31 @@ class QuadraticPresentation:
     """T(V)/(R) with deg x_i = 1 and R a subspace of V (x) V.
 
     Relations are stored as the canonical reduced row echelon basis of R in
-    the (u, v) word coordinates, so equal subspaces give equal (interned)
-    presentations.
+    the (u, v) word coordinates, so equal subspaces with the same degree cap
+    give one (interned) presentation while it is referenced.  The cap is
+    fixed at creation.
     """
 
     __slots__ = ("field", "names", "rel_rows", "degree_cap", "_components",
-                 "_rel_space", "_cache")
+                 "_rel_space", "_cache", "_pbw", "__weakref__")
 
     def __new__(cls, field, names, relation_rows, degree_cap=None):
+        degree_cap = degree_cap or DEFAULT_DEGREE_CAP
         key = (field_descriptor(field), tuple(names),
-               tuple(tuple(sorted(r.items())) for r in relation_rows))
+               tuple(tuple(sorted(r.items())) for r in relation_rows),
+               degree_cap)
         hit = _INTERN.get(key)
         if hit is not None:
-            if degree_cap is not None:
-                hit.degree_cap = max(hit.degree_cap, degree_cap)
             return hit
         self = object.__new__(cls)
         _INTERN[key] = self
         self.field = field
         self.names = tuple(names)
         self.rel_rows = tuple(dict(r) for r in relation_rows)
-        self.degree_cap = degree_cap or DEFAULT_DEGREE_CAP
+        self.degree_cap = degree_cap
         self._components = {}
         self._cache = {}
+        self._pbw = None
         space = RowSpace(field)
         for r in relation_rows:
             space.add(dict(r))
@@ -162,37 +181,34 @@ class QuadraticPresentation:
         else:
             prev = self.component(d - 1)
             prev2 = self.component(d - 2)
-            space = RowSpace(self.field)
-            for b in range(prev2.dim):
-                for rel in self.rel_rows:
-                    vec = {}
-                    for col, c in rel.items():
-                        u, v = divmod(col, n)
-                        mid = prev.step.get((b, u))
-                        if mid:
-                            add_scaled(vec, {i * n + v: s
-                                             for i, s in mid.items()}, c)
-                    if vec:
-                        space.add(vec)
-            pivots = space.pivots
-            normal_cols = [c for c in range(prev.dim * n) if c not in pivots]
-            words = tuple(prev.words[c // n] + (c % n,) for c in normal_cols)
-            remap = {c: i for i, c in enumerate(normal_cols)}
-            step = {}
-            for c in range(prev.dim * n):
-                pair = (c // n, c % n)
-                if c in pivots:
-                    row = pivots[c]
-                    step[pair] = {remap[oc]: -v for oc, v in row.items()
-                                  if oc != c}
-                else:
-                    step[pair] = {remap[c]: self.field.one}
-            comp = GradedComponent(d, words, step)
+            if d >= 4 and self._is_pbw():
+                comp = _rewrite_component(self, d, prev, prev2)
+            else:
+                comp = _rref_component(self, d, prev, prev2)
         self._components[d] = comp
         return comp
 
     def dim(self, d):
         return self.component(d).dim
+
+    def _leading_words(self):
+        """{(u, v): relation row} for the leading 2-word x_u x_v of each
+        relation row (its least column)."""
+        n = self.n
+        return {divmod(min(row), n): row for row in self.rel_rows}
+
+    def _is_pbw(self):
+        """Whether the relations form a quadratic Groebner basis, decided in
+        degree 3 and memoized (see the module docstring)."""
+        if self._pbw is None:
+            lead = self._leading_words()
+            n = self.n
+            avoiding = sum(
+                sum((u, v) not in lead for u in range(n))
+                * sum((v, w) not in lead for w in range(n))
+                for v in range(n))
+            self._pbw = self.component(3).dim == avoiding
+        return self._pbw
 
     # ---- element constructors -------------------------------------------
 
@@ -319,6 +335,73 @@ class QuadraticPresentation:
     def __repr__(self):
         return (f"<quadratic algebra k<{', '.join(self.names)}> "
                 f"with {self.r} relations>")
+
+
+def _rref_component(pres, d, prev, prev2):
+    """A_d as A_{d-1} (x) V modulo the image of A_{d-2} (x) R, by reduced row
+    echelon form; column c = i*n + a stands for word i of A_{d-1} times x_a."""
+    n = pres.n
+    space = RowSpace(pres.field)
+    for b in range(prev2.dim):
+        for rel in pres.rel_rows:
+            vec = {}
+            for col, c in rel.items():
+                u, v = divmod(col, n)
+                mid = prev.step.get((b, u))
+                if mid:
+                    add_scaled(vec, {i * n + v: s for i, s in mid.items()}, c)
+            if vec:
+                space.add(vec)
+    pivots = space.pivots
+    normal_cols = [c for c in range(prev.dim * n) if c not in pivots]
+    words = tuple(prev.words[c // n] + (c % n,) for c in normal_cols)
+    remap = {c: i for i, c in enumerate(normal_cols)}
+    step = {}
+    for c in range(prev.dim * n):
+        pair = (c // n, c % n)
+        if c in pivots:
+            row = pivots[c]
+            step[pair] = {remap[oc]: -v for oc, v in row.items() if oc != c}
+        else:
+            step[pair] = {remap[c]: pres.field.one}
+    return GradedComponent(d, words, step)
+
+
+def _rewrite_component(pres, d, prev, prev2):
+    """A_d of a PBW presentation by rewriting, with no elimination.
+
+    The normal words are those of A_{d-1} extended by every letter that
+    forms no leading 2-word with their last letter.  A product w*x_a whose
+    last two letters are the leading word of a monic relation row becomes
+    -sum row[s*n + t] * (prefix of w)*x_s*x_t over the row's other columns.
+    Those words are lex-greater, so filling the table in descending column
+    order finds every image it needs already built.
+    """
+    n = pres.n
+    lead = pres._leading_words()
+    one = pres.field.one
+    words = tuple(w + (a,) for w in prev.words for a in range(n)
+                  if (w[-1], a) not in lead)
+    index = {w: i for i, w in enumerate(words)}
+    step = {}
+    for c in range(prev.dim * n - 1, -1, -1):
+        i, a = divmod(c, n)
+        w = prev.words[i]
+        row = lead.get((w[-1], a))
+        if row is None:
+            step[(i, a)] = {index[w + (a,)]: one}
+            continue
+        prefix = prev2.index[w[:-1]]
+        lead_col = w[-1] * n + a
+        out = {}
+        for col, coeff in row.items():
+            if col == lead_col:
+                continue
+            s, t = divmod(col, n)
+            for j, v in prev.step[(prefix, s)].items():
+                add_scaled(out, step[(j, t)], -coeff * v)
+        step[(i, a)] = out
+    return GradedComponent(d, words, step)
 
 
 class AlgebraElement:
@@ -528,11 +611,28 @@ def is_regular_up_to(f, d_max):
     return True
 
 
+class NormalityUndecided:
+    """``is_normal``'s answer when no candidate passed but sigma is not
+    unique: some linear form l has l*f = 0, so f is not regular either way.
+    Falsy, like "not normal", so that no caller mistakes it for sigma."""
+
+    __slots__ = ("reason",)
+
+    def __init__(self, reason):
+        self.reason = reason
+
+    def __bool__(self):
+        return False
+
+
 def is_normal(f):
     """The normalizing automorphism sigma with f x_j = sigma(x_j) f, if any.
 
     Solves the linear systems in A_{m+1}; the candidate must be invertible
-    and preserve R.  For regular f the solution is unique.
+    and preserve R.  For regular f the solution is unique and the answer is
+    sigma or None.  When u -> x_u f has a kernel, only the particular
+    solution and its shifts by each kernel vector are tried; if none passes,
+    the answer is a ``NormalityUndecided``.
     """
     if not f:
         raise ValueError("zero element")
@@ -560,6 +660,10 @@ def is_normal(f):
         sigma = GradedAutomorphism(pres, mat, _checked=True)
         if sigma._preserves_relations():
             return sigma
+    if kernel:
+        return NormalityUndecided(
+            f"the linear forms l with l*f = 0 span dimension {len(kernel)}, "
+            "so sigma is not unique and f is not regular")
     return None
 
 

@@ -18,8 +18,8 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .algebra import (DEFAULT_DEGREE_CAP, DegreeCapExceeded, is_normal,
-                      is_regular_up_to)
+from .algebra import (DEFAULT_DEGREE_CAP, DegreeCapExceeded,
+                      NormalityUndecided, is_normal, is_regular_up_to)
 from .geometry import (check_g1, check_point_exact, point_variety,
                        sigma_at, _small_points_on)
 from .groebner import variety_equal
@@ -367,7 +367,11 @@ def _run_shamash(args, pres, cap, f):
                "normal": sigma is not None}
     lines = [f"element (canonical lift): {lift}",
              f"normal: {sigma is not None}"]
-    if sigma is None:
+    if isinstance(sigma, NormalityUndecided):
+        results["normal"] = None
+        results["normal_undecided"] = sigma.reason
+        lines[-1] = f"normal: null ({sigma.reason})"
+    if not sigma:
         _emit(args, _config(args, cap, lift), results, lines)
         return EXIT_OK
     results["normalizing_matrix"] = [[str(c) for c in row]
@@ -382,16 +386,22 @@ def _run_shamash(args, pres, cap, f):
     from .algebra import opposite_element
     from .resolutions import FreeComplex
     for side in _sides(args):
-        if side == "right":
-            P = linear_resolution(pres, "right", args.length)
-            T, tower = shamash(pres, P, f, length=args.length,
-                               internal_cap=cap)
-        else:
-            op = pres.opposite()
-            P = linear_resolution(op, "right", args.length)
-            T0, tower = shamash(op, P, opposite_element(f),
-                                length=args.length, internal_cap=cap)
-            T = FreeComplex(T0.presentation, "left", T0.maps, T0.meta)
+        try:
+            if side == "right":
+                P = linear_resolution(pres, "right", args.length)
+                T, tower = shamash(pres, P, f, length=args.length,
+                                   internal_cap=cap)
+            else:
+                op = pres.opposite()
+                P = linear_resolution(op, "right", args.length)
+                T0, tower = shamash(op, P, opposite_element(f),
+                                    length=args.length, internal_cap=cap)
+                T = FreeComplex(T0.presentation, "left", T0.maps, T0.meta)
+        except NonlinearKernelError as exc:
+            results[side] = {"koszul_at_truncation": False,
+                             "failure": str(exc)}
+            lines.append(f"{side:>5} NOT Koszul at truncation: {exc}")
+            continue
         rep = T.meta["verification"]
         results[side] = {
             "ranks": T.ranks(),

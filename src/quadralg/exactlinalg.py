@@ -69,9 +69,6 @@ class RowSpace:
     def rank(self):
         return len(self.pivots)
 
-    def pivot_columns(self):
-        return sorted(self.pivots)
-
     def reduce(self, vec):
         """Fully reduce ``vec`` (a sparse dict); returns a new dict."""
         vec = dict(vec)

@@ -319,18 +319,6 @@ class GroebnerBasis:
     def __len__(self):
         return len(self.polys)
 
-    def normal_form(self, poly):
-        """Canonical-up-to-positive-scalar remainder (primitive form)."""
-        if poly.ring != self.ring:
-            raise ValueError("polynomial from another ring")
-        if self._p:
-            terms = _mod_terms(poly, self._p)
-        else:
-            terms = _int_terms(poly)
-        nf = _normal_form(terms, self._entries, self._key, self._p)
-        return CommPoly(self.ring, {e: self.ring.field(v)
-                                    for e, v in nf.items()}).primitive()
-
     def reduces_to_zero(self, poly):
         if poly.ring != self.ring:
             raise ValueError("polynomial from another ring")

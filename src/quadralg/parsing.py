@@ -55,6 +55,9 @@ def _tokenize(text, line=None):
             except ZeroDivisionError:
                 raise ParseError("zero denominator", line,
                                  m.start() + 1) from None
+            except ValueError:
+                raise ParseError("number too long", line,
+                                 m.start() + 1) from None
             out.append(("num", value, m.start() + 1))
         elif m.group("name"):
             out.append(("name", m.group("name"), m.start() + 1))
@@ -64,8 +67,12 @@ def _tokenize(text, line=None):
     return out
 
 
-def parse_nc_terms(text, names, field, line=None):
-    """Noncommutative polynomial string -> {word tuple: scalar}."""
+def parse_nc_terms(text, names, field, line=None, max_degree=None):
+    """Noncommutative polynomial string -> {word tuple: scalar}.
+
+    A term of degree above ``max_degree`` is an error, found before its word
+    is built (``x^999999999`` never becomes a word of that length).
+    """
     tokens = _tokenize(text, line)
     if not tokens:
         raise ParseError("empty polynomial", line)
@@ -111,6 +118,10 @@ def parse_nc_terms(text, names, field, line=None):
                         if power < 0:
                             fail("negative exponent", tokens[pos])
                         pos += 1
+                    if max_degree is not None \
+                            and len(word) + power > max_degree:
+                        fail(f"term has degree {len(word) + power}, above "
+                             f"the maximum {max_degree}", term_tok)
                     word.extend([letter] * power)
                 else:
                     fail(f"expected a factor, found {val!r}", tokens[pos])
@@ -141,7 +152,7 @@ def parse_nc_terms(text, names, field, line=None):
 
 def parse_relation(text, names, field, line=None):
     """A degree-2 relation string -> tensor dict {(u, v): scalar}."""
-    terms = parse_nc_terms(text, names, field, line)
+    terms = parse_nc_terms(text, names, field, line, max_degree=2)
     rel = {}
     for word, coeff in terms.items():
         if len(word) != 2:
@@ -161,7 +172,7 @@ def _pretty(word, names):
 def parse_element(presentation, text, expect_degree=None, line=None):
     """Parse an element string and project to the canonical basis."""
     terms = parse_nc_terms(text, presentation.names, presentation.field,
-                           line)
+                           line, max_degree=presentation.degree_cap)
     degrees = {len(w) for w in terms}
     if len(degrees) > 1:
         raise ParseError(f"element is not homogeneous: degrees {sorted(degrees)}",
@@ -200,6 +211,8 @@ def parse_presentation_text(text, degree_cap=None):
             except ValueError as exc:
                 raise ParseError(str(exc), line_no) from None
         elif head == "vars":
+            if names is not None:
+                raise ParseError("vars given twice", line_no)
             names = tuple(n for n in re.split(r"[,\s]+", rest.strip()) if n)
             if not names:
                 raise ParseError("vars needs at least one name", line_no)

@@ -14,8 +14,8 @@ choice is the echelon particular solution with free parameters zero.
 
 from __future__ import annotations
 
-from .algebra import AlgebraElement, convert_element, is_normal, \
-    is_regular_up_to
+from .algebra import (AlgebraElement, NormalityUndecided, convert_element,
+                      is_normal, is_regular_up_to)
 from .exactlinalg import columns_to_rows, solve_batch
 from .resolutions import (FreeComplex, FreeModuleMap, verify_complex,
                           zero_map)
@@ -234,6 +234,8 @@ def shamash(presentation, P, f, length=None, internal_cap=None,
             "quotients by elements of degree > 2 leave the quadratic "
             "presentation layer")
     sigma = is_normal(f)
+    if isinstance(sigma, NormalityUndecided):
+        raise NotRegularError(sigma.reason)
     if sigma is None:
         raise NotNormalError("element is not normal (no normalizing "
                              "automorphism exists)")

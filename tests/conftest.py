@@ -1,9 +1,16 @@
 import pytest
+from hypothesis import settings
 
 from quadralg.scalars import QQ
 from quadralg.algebra import QuadraticPresentation, opposite_element
 from quadralg.resolutions import FreeComplex, linear_resolution
 from quadralg.shamash import shamash
+
+# One fixed example sequence per test, with no timing verdicts: the suite
+# gives the same result on every run and every host.
+settings.register_profile("deterministic", derandomize=True, deadline=None,
+                          database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

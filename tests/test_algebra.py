@@ -1,14 +1,21 @@
+import gc
 import random
 from fractions import Fraction
 from itertools import product
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import find, given, settings, strategies as st
 
+from quadralg import algebra
 from quadralg.algebra import (DegreeCapExceeded, GradedAutomorphism,
-                              QuadraticPresentation, convert_element,
-                              is_normal, is_regular_up_to, opposite_element)
+                              NormalityUndecided, QuadraticPresentation,
+                              _rewrite_component, _rref_component,
+                              convert_element, is_normal, is_regular_up_to,
+                              opposite_element)
+from quadralg.parsing import parse_presentation_text
+from quadralg.shamash import NotRegularError, shamash
+from quadralg.resolutions import linear_resolution
 from quadralg.exactlinalg import RowSpace
 from quadralg.scalars import GF, QQ
 from conftest import sum_of_squares
@@ -79,8 +86,6 @@ def test_skew_hilbert_series():
 
 
 def test_degree_cap_enforced():
-    # fresh names: presentations intern by content and the cap is a
-    # high-water mark across equal presentations
     pres = QuadraticPresentation.commutative(QQ, ["capu", "capw"],
                                              degree_cap=4)
     pres.component(4)
@@ -289,3 +294,145 @@ def test_word_walks_agree_on_dense_relations(case):
     assert GradedAutomorphism(pres, diagonal(lam))(el) == el.scale(power)
     assert convert_element(el, pres) == el
     assert convert_element(el, pres, diagonal(field.one)) == el
+
+
+def test_interning_keeps_each_cap():
+    """Equal presentations with different caps are different objects, so a
+    later, larger cap never lifts the cap of an earlier presentation."""
+    small = QuadraticPresentation.commutative(QQ, ["x", "y"], degree_cap=3)
+    with pytest.raises(DegreeCapExceeded):
+        small.dim(5)
+    large = QuadraticPresentation.commutative(QQ, ["x", "y"], degree_cap=9)
+    assert large.dim(5) == 6
+    assert large is not small
+    with pytest.raises(DegreeCapExceeded):
+        QuadraticPresentation.commutative(QQ, ["x", "y"],
+                                          degree_cap=3).dim(5)
+    assert QuadraticPresentation.commutative(QQ, ["x", "y"],
+                                             degree_cap=3) is small
+
+
+def test_unreferenced_presentation_leaves_the_intern_table():
+    pres = QuadraticPresentation.commutative(QQ, ["gone1", "gone2"])
+    pres.opposite()                      # a reference cycle through _cache
+    keys = [k for k, v in algebra._INTERN.items() if v is pres]
+    assert keys
+    del pres
+    gc.collect()
+    assert not any(k in algebra._INTERN for k in keys)
+
+
+# ---- the two component builders ------------------------------------------
+
+NON_KOSZUL = """vars x, y, z, t
+rel -x^2 + 2*x*y - 2*x*z - 2*y^2 - 2*y*z - 2*z*x + 2*z*y - 2*z^2
+rel x^2 - x*y + x*z - 2*y*x + 2*y^2 - y*z + z*x + z*y + 2*z^2
+rel -x^2 - x*z - y*x + y^2 - 2*z*x + z*y + 2*z^2
+rel -2*x^2 - x*y - 2*y*x + 2*y*z + z*x + 2*z*y - z^2
+rel t*x - x*t
+rel t*y - y*t
+rel t*z - z*t
+"""
+
+
+def assert_builders_agree(pres, top):
+    """Every A_d with 4 <= d <= top is the table the elimination builder
+    makes from the same lower tables, and, for a PBW presentation, the one
+    the rewriting builder makes."""
+    for d in range(4, top + 1):
+        prev, prev2 = pres.component(d - 1), pres.component(d - 2)
+        rref = _rref_component(pres, d, prev, prev2)
+        built = pres.component(d)
+        assert built.words == rref.words
+        assert built.step == rref.step
+        if pres._is_pbw():
+            rewritten = _rewrite_component(pres, d, prev, prev2)
+            assert rewritten.words == rref.words
+            assert rewritten.step == rref.step
+
+
+def pm1_skew(n):
+    q = [[1 if i == j else -1 for j in range(n)] for i in range(n)]
+    return QuadraticPresentation.skew(QQ, [f"x{i}" for i in range(n)], q)
+
+
+@pytest.mark.parametrize("n, top", [(4, 8), (6, 6)])
+def test_pbw_skew_and_quotient_build_by_rewriting(n, top):
+    A = pm1_skew(n)
+    B = A.quotient(sum_of_squares(A))
+    for pres in (A, B):
+        assert_builders_agree(pres, top)
+        assert pres._is_pbw()
+
+
+def test_non_pbw_presentations_stay_on_elimination(sec5_algebra,
+                                                   sec5_quotient):
+    # PBW implies Koszul, so a non-Koszul presentation must fail the test
+    non_koszul = parse_presentation_text(NON_KOSZUL, degree_cap=5)
+    for pres in (sec5_algebra, sec5_quotient, non_koszul):
+        assert not pres._is_pbw()
+        assert_builders_agree(pres, 5)
+
+
+@st.composite
+def builder_cases(draw):
+    """Skew algebras over QQ and GF(p), the Jordan plane in both letter
+    orders (PBW for one, not the other) and random dense presentations."""
+    kind = draw(st.sampled_from(["skew", "jordan", "dense"]))
+    field = draw(st.sampled_from([QQ, GF(5), GF(7)]))
+    if kind == "skew":
+        n = draw(st.integers(2, 4))
+        q = [[field.one] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                v = field(draw(st.integers(1, 4))
+                          * draw(st.sampled_from([1, -1])))
+                q[i][j], q[j][i] = v, field.one / v
+        pres = QuadraticPresentation.skew(field, [f"s{i}" for i in range(n)],
+                                          q, degree_cap=6)
+    elif kind == "jordan":
+        # x*y - y*x - y^2 leads with x*y; x*y - y*x - x^2 leads with x^2
+        sq = draw(st.sampled_from([(1, 1), (0, 0)]))
+        pres = QuadraticPresentation.create(
+            field, ["jx", "jy"], [{(0, 1): 1, (1, 0): -1, sq: -1}],
+            degree_cap=6)
+    else:
+        n = draw(st.integers(2, 3))
+        coeff = st.integers(-2, 2)
+        rels = draw(st.lists(
+            st.lists(st.lists(coeff, min_size=n, max_size=n),
+                     min_size=n, max_size=n), min_size=1, max_size=n))
+        pres = QuadraticPresentation.create(
+            field, [f"r{i}" for i in range(n)], rels, degree_cap=6)
+    return pres, 6 if pres.n <= 3 else 5
+
+
+@settings(max_examples=40)
+@given(builder_cases())
+def test_rewriting_builder_matches_elimination(case):
+    pres, top = case
+    assert_builders_agree(pres, top)
+
+
+def test_builder_cases_cover_both_paths():
+    for pbw in (True, False):
+        pres, _ = find(builder_cases(), lambda c: c[0]._is_pbw() is pbw)
+        assert pres._is_pbw() is pbw
+
+
+def test_is_normal_undecided_when_sigma_is_not_unique():
+    """In k<x,y>/(xy, yx) the element x^2 is central, but y*x^2 = 0, so
+    u -> x_u x^2 has a kernel and sigma is not unique.  The verdict is
+    "undecided", never "not normal", and shamash refuses x^2 as a zero
+    divisor."""
+    pres = QuadraticPresentation.create(QQ, ["x", "y"],
+                                        [{(0, 1): 1}, {(1, 0): 1}])
+    x = pres.generator(0)
+    f = x * x
+    verdict = is_normal(f)
+    assert isinstance(verdict, NormalityUndecided)
+    assert verdict is not None and not verdict
+    assert "not regular" in verdict.reason
+    with pytest.raises(NotRegularError):
+        shamash(pres, linear_resolution(pres, "right", 3, check="report"),
+                f, length=3)

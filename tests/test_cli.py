@@ -1,12 +1,18 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import quadralg
+from quadralg.algebra import QuadraticPresentation
 from quadralg.cli import main
+from quadralg.parsing import ParseError, parse_presentation_text
 
 QPLANE = """field QQ
 vars x, y
@@ -18,6 +24,17 @@ vars x, y, z
 rel x*y + y*x + 2*z^2
 rel y*z + z*y + 2*x^2
 rel z*x + x*z + 2*y^2
+"""
+
+# not Koszul (homology of dim 11 at (2, 4)); t commutes with x, y and z
+NON_KOSZUL = """vars x, y, z, t
+rel -x^2 + 2*x*y - 2*x*z - 2*y^2 - 2*y*z - 2*z*x + 2*z*y - 2*z^2
+rel x^2 - x*y + x*z - 2*y*x + 2*y^2 - y*z + z*x + z*y + 2*z^2
+rel -x^2 - x*z - y*x + y^2 - 2*z*x + z*y + 2*z^2
+rel -2*x^2 - x*y - 2*y*x + 2*y*z + z*x + 2*z*y - z^2
+rel t*x - x*t
+rel t*y - y*t
+rel t*z - z*t
 """
 
 CASE2 = """field QQ
@@ -35,6 +52,8 @@ def workdir(tmp_path, monkeypatch):
     (tmp_path / "qplane.pres").write_text(QPLANE)
     (tmp_path / "sec5.pres").write_text(SEC5)
     (tmp_path / "case2.pres").write_text(CASE2)
+    (tmp_path / "nonkoszul.pres").write_text(NON_KOSZUL)
+    (tmp_path / "xy.pres").write_text("vars x, y\nrel x*y\nrel y*x\n")
     monkeypatch.chdir(tmp_path)
     return tmp_path
 
@@ -237,3 +256,85 @@ def test_negative_max_degree_exits_2(workdir, capsys, command):
                 "--json-out", "md.json"]) == 2
     assert capsys.readouterr().err.startswith("input error:")
     assert not os.path.exists("md.json")
+
+
+def test_shamash_on_non_koszul_base_is_verdict_not_error(workdir, capsys):
+    code = run(["shamash", "nonkoszul.pres", "--element", "t^2", "-L", "3",
+                "--side", "right", "--json-out", "nk.json"])
+    assert code == 0
+    right = load("nk.json")["results"]["right"]
+    assert right["koszul_at_truncation"] is False
+    assert "not Koszul" in right["failure"]
+    assert "NOT Koszul" in capsys.readouterr().out
+
+
+def test_shamash_undecided_normality_prints_null(workdir, capsys):
+    """x^2 is central in k<x,y>/(xy, yx) but y*x^2 = 0: the report must
+    not call it "not normal"."""
+    code = run(["shamash", "xy.pres", "--element", "x^2",
+                "--json-out", "un.json"])
+    assert code == 0
+    results = load("un.json")["results"]
+    assert results["normal"] is None
+    assert "not regular" in results["normal_undecided"]
+    assert "normal: null" in capsys.readouterr().out
+
+
+# ---- fuzzing the input surface --------------------------------------------
+
+_NAMES = ["x", "y", "z"]
+_term = st.tuples(st.sampled_from(["", "2*", "-1/2*", "3*"]),
+                  st.sampled_from(_NAMES), st.sampled_from(_NAMES)).map(
+    lambda t: f"{t[0]}{t[1]}*{t[2]}")
+_good_poly = st.lists(_term, min_size=1, max_size=3).map(" - ".join)
+_soup = st.lists(st.sampled_from(
+    ["x", "y", "z", "w", "1", "2", "1/2", "0", "1/0", "+", "-", "*", "^",
+     "^2", "^3", "^99999999999", " ", "(", "#", "9" * 30]),
+    max_size=10).map("".join)
+_poly = st.one_of(_good_poly, _soup)
+_line = st.one_of(
+    st.sampled_from(["field QQ", "field Q", "field 2", "field 7", "field 4",
+                     "field 0", "field", "field -3", "field abc",
+                     "vars x, y", "vars x y z", "vars x, x", "vars 2x",
+                     "vars"]),
+    _poly.map(lambda p: "rel " + p),
+    st.lists(st.lists(st.sampled_from(["1", "-1", "2", "1/2", "0", "x",
+                                       "1/0"]), max_size=3).map(" ".join),
+             max_size=3).map(lambda rows: "\n".join(["skew"] + rows)),
+    st.text(max_size=8))
+_texts = st.lists(_line, max_size=6).map("\n".join)
+# most soups fail to parse; this one mostly parses
+_plausible = st.tuples(st.sampled_from(["", "field 7\n"]),
+                       st.sampled_from(["vars x, y\n", "vars x, y, z\n"]),
+                       st.lists(_good_poly, min_size=1, max_size=3)).map(
+    lambda t: t[0] + t[1] + "".join(f"rel {p}\n" for p in t[2]))
+
+
+@settings(max_examples=300)
+@given(st.one_of(_texts, _plausible))
+def test_parser_fuzz_returns_or_raises_parse_error(text):
+    try:
+        pres = parse_presentation_text(text, degree_cap=4)
+    except ParseError:
+        return
+    assert isinstance(pres, QuadraticPresentation)
+
+
+@settings(max_examples=100)
+@given(st.one_of(_texts, _plausible),
+       st.sampled_from(["resolve", "quotient", "shamash"]),
+       st.one_of(st.none(), _good_poly, _soup))
+def test_cli_fuzz_exits_0_or_2(text, command, element):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.pres")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        argv = [command, path, "-L", "2", "--cap", "4",
+                "--json-out", os.path.join(tmp, "out.json")]
+        if element is not None or command != "resolve":
+            argv.append(f"--element={element or 'x*x'}")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()

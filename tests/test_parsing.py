@@ -107,3 +107,14 @@ def test_parse_element_homogeneous(sec5_algebra):
         parse_element(sec5_algebra, "x*y + z", expect_degree=2)
     with pytest.raises(ParseError):
         parse_element(sec5_algebra, "x*y*z", expect_degree=2)
+
+
+@pytest.mark.parametrize("text", [
+    "vars x\nskew\n1\nvars x, y\n",          # grew the count: IndexError
+    "vars x, y\nskew\n1 1\n1 1\nvars x\n",   # shrank it: rows dropped
+    "vars x, y\nrel x^99999999999\n",        # a word that long is never built
+    "vars x, y\nrel " + "1" * 5000 + "*x*y\n",  # above int()'s digit limit
+])
+def test_malformed_presentations_are_parse_errors(text):
+    with pytest.raises(ParseError):
+        parse_presentation_text(text)
