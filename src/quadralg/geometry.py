@@ -13,7 +13,7 @@ only ever a pre-filter whose negative answers are conclusive witnesses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import islice, product
 
 from .exactlinalg import exact_rank, nullspace
 from .groebner import Ideal, RadicalTester, projective_empty, variety_equal
@@ -210,13 +210,19 @@ class PointExactReport:
         return [ev.degree for ev in self.evidence if not ev.ok]
 
 
+# Coordinate vectors one scan for small points may visit.  Sampling only
+# pre-filters or finds witnesses, so a cut scan changes no verdict.
+POINT_BUDGET = 4096
+
+
 def _small_points_on(ideal, ring, radius=1):
-    """Rational points with small coordinates on a projective variety."""
+    """Rational points with small coordinates on a projective variety,
+    among the first POINT_BUDGET vectors of the box in product order."""
     n = ring.nvars
     vals = list(range(-radius, radius + 1))
     found = []
     seen = set()
-    for coords in product(vals, repeat=n):
+    for coords in islice(product(vals, repeat=n), POINT_BUDGET):
         if not any(coords):
             continue
         if all(not g.evaluate([ring.field(c) for c in coords])

@@ -4,6 +4,7 @@ The reduction core works on integer-coefficient polynomials (fraction-free
 pseudo-reduction with content stripping) over QQ, or on residues over F_p;
 the public layer speaks CommPoly.  Pair pruning follows the Gebauer-Moeller
 update, pair selection is the normal strategy (smallest lcm first).
+Projective emptiness is read off the leading monomials of one basis.
 """
 
 from __future__ import annotations
@@ -414,8 +415,7 @@ def radical_member(f, ideal, _gb=None):
     tname = ring.fresh_name("t")
     big = ring.extend([tname])
     t = big.var(big.nvars - 1)
-    gens = [g.lift(big) for g in gb.polys]
-    gens.append(big.one() - t * f.lift(big))
+    gens = [g.lift(big) for g in gb.polys] + [big.one() - t * f.lift(big)]
     return _groebner_of(big, gens, big.order).contains_one()
 
 
@@ -452,24 +452,23 @@ def variety_equal(ideal_a, ideal_b):
     if ideal_a.ring != ideal_b.ring:
         raise ValueError("ideals from different rings")
     tester_b = RadicalTester(ideal_b)
-    for g in ideal_a.gens:
-        if not tester_b.contains(g):
-            return False
+    if not all(tester_b.contains(g) for g in ideal_a.gens):
+        return False
     tester_a = RadicalTester(ideal_a)
-    for g in ideal_b.gens:
-        if not tester_a.contains(g):
-            return False
-    return True
+    return all(tester_a.contains(g) for g in ideal_b.gens)
 
 
 def projective_empty(ideal):
-    """Z(ideal) empty in projective space?  Requires homogeneous generators."""
+    """Z(ideal) empty in projective space?  Requires homogeneous generators.
+    By the finiteness theorem (Cox, Little, O'Shea, ch. 5 sec. 3): exactly
+    when 1 or a pure power of every variable is a leading monomial of the
+    reduced basis, over the algebraic closure of the field."""
     for g in ideal.gens:
         if not g.is_homogeneous():
             raise ValueError(f"non-homogeneous generator: {g}")
-    tester = RadicalTester(ideal)
-    return all(tester.contains(ideal.ring.var(i))
-               for i in range(ideal.ring.nvars))
+    leads = [entry.lm for entry in ideal.groebner()._entries]
+    pure = {i for lm in leads for i, k in enumerate(lm) if k and k == sum(lm)}
+    return len(pure) == ideal.ring.nvars or any(not any(m) for m in leads)
 
 
 def intersect(ideal_a, ideal_b):

@@ -3,15 +3,19 @@
 A LinearFormMatrix is an s x r matrix whose entries are degree-1 forms in the
 generators, stored as coefficient tuples.  Its t-minors are commutative
 homogeneous polynomials of degree t; evaluating at a projective point gives a
-scalar matrix whose rank drops exactly on the minor locus.
+scalar matrix whose rank drops exactly on the minor locus.  The minors are
+expanded fraction-free, on integer term dicts, and deduplicated up to scalar
+as they are made.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from math import gcd, lcm
 
 from .exactlinalg import exact_rank
 from .groebner import Ideal
+from .polynomials import CommPoly
 from .scalars import QQ
 
 
@@ -23,11 +27,7 @@ class ProjPoint:
 
     def __init__(self, coords, field=QQ):
         coords = tuple(field(c) for c in coords)
-        lead = None
-        for c in coords:
-            if c:
-                lead = c
-                break
+        lead = next((c for c in coords if c), None)
         if lead is None:
             raise ValueError("projective point needs a nonzero coordinate")
         inv = field.one / lead
@@ -56,23 +56,14 @@ class LinearFormMatrix:
 
     def __init__(self, ring, rows):
         self.ring = ring
-        n = ring.nvars
-        cleaned = []
-        width = None
-        for row in rows:
-            entries = []
-            for entry in row:
-                entry = tuple(ring.field(c) for c in entry)
-                if len(entry) != n:
-                    raise ValueError("entry has wrong coefficient length")
-                entries.append(entry)
-            if width is None:
-                width = len(entries)
-            elif len(entries) != width:
-                raise ValueError("ragged matrix")
-            cleaned.append(tuple(entries))
-        self.rows = tuple(cleaned)
-        self.shape = (len(cleaned), width or 0)
+        self.rows = tuple(tuple(tuple(ring.field(c) for c in entry)
+                                for entry in row) for row in rows)
+        if any(len(e) != ring.nvars for row in self.rows for e in row):
+            raise ValueError("entry has wrong coefficient length")
+        widths = {len(row) for row in self.rows}
+        if len(widths) > 1:
+            raise ValueError("ragged matrix")
+        self.shape = (len(self.rows), widths.pop() if widths else 0)
 
     def entry_poly(self, i, j):
         return self.ring.linear_form(self.rows[i][j])
@@ -90,21 +81,22 @@ class LinearFormMatrix:
             raise ValueError("point has wrong length")
         field = self.ring.field
         point = [field(c) for c in point]
-        out = []
-        for row in self.rows:
-            out.append([sum((c * x for c, x in zip(entry, point)), field.zero)
-                        for entry in row])
-        return out
+        return [[sum((c * x for c, x in zip(entry, point)), field.zero)
+                 for entry in row] for row in self.rows]
 
     def rank_at(self, point):
         return exact_rank(self.eval_at(point), self.ring.field)
 
-    def minors(self, t, normalize=True):
-        """All t x t minors as polynomials of degree t.
+    def minors(self, t):
+        """All t x t minors, content-free with positive leading coefficient
+        (monic over GF(p)), zeros dropped, each kept once in order of first
+        occurrence, then stably sorted by leading monomial.  Empty when t
+        exceeds min(shape): the locus is all of projective space.
 
-        Convention: empty list when t exceeds min(shape) (the locus is all of
-        projective space).  With ``normalize`` the minors are content-free
-        with positive leading coefficient, deduplicated, zeros dropped.
+        Laplace expansion along rows, memoized per row set.  Each row is
+        scaled by the positive integer clearing its denominators (residues
+        over GF(p)), which changes no normalized minor, and a monomial is
+        one int in base t + 1, so x_i * m is m + (t + 1)**i.
         """
         s, r = self.shape
         if t < 1:
@@ -112,56 +104,64 @@ class LinearFormMatrix:
         if t > min(s, r):
             return []
         ring = self.ring
-        out = []
-        seen = set()
+        p = 0 if ring.field == QQ else ring.field.p
+        shifts = [(t + 1) ** i for i in range(ring.nvars)]
+        rows = []
+        for row in self.rows:
+            den = 1 if p else lcm(*(c.denominator for e in row for c in e))
+            rows.append([[(sh, c.val if p else c.numerator * den
+                           // c.denominator)
+                          for sh, c in zip(shifts, e) if c] for e in row])
+        out, seen = [], set()
         for row_set in combinations(range(s), t):
-            memo = {}
+            memo = {(): {0: 1}}
 
             def det(k, cols):
                 # expand along row row_set[k]; cols is a tuple of free columns
-                if not cols:
-                    return ring.one()
-                cached = memo.get((k, cols))
-                if cached is not None:
-                    return cached
-                total = ring.zero()
-                i = row_set[k]
+                if cols in memo:
+                    return memo[cols]
+                total = {}
+                get = total.get
+                row = rows[row_set[k]]
                 for pos, j in enumerate(cols):
-                    entry = self.rows[i][j]
-                    if not any(entry):
-                        continue
-                    sub = det(k + 1, cols[:pos] + cols[pos + 1:])
-                    if sub:
-                        term = ring.linear_form(entry) * sub
-                        total = total + (term if pos % 2 == 0 else -term)
-                memo[(k, cols)] = total
+                    if row[j]:
+                        sub = det(k + 1, cols[:pos] + cols[pos + 1:])
+                        for sh, c in row[j]:
+                            c = -c if pos & 1 else c
+                            for e, v in sub.items():
+                                total[e + sh] = get(e + sh, 0) + c * v
+                if p:
+                    total = {e: v % p for e, v in total.items()}
+                memo[cols] = total = {e: v for e, v in total.items() if v}
                 return total
 
             for col_set in combinations(range(r), t):
                 m = det(0, col_set)
-                if not normalize:
-                    out.append(m)
-                    continue
                 if not m:
                     continue
-                m = m.primitive()
-                fid = frozenset(m.terms.items())
-                if fid not in seen:
-                    seen.add(fid)
-                    out.append(m)
-        if normalize:
-            key = self.ring.order.key
-            out.sort(key=lambda q: key(q.lead_monomial()))
+                # a fixed term pins the scalar; primitive() then moves it to
+                # the order's leading term on the survivors only
+                c = m[max(m)]
+                if p:
+                    g = pow(c, -1, p)
+                    canon = frozenset((e, v * g % p) for e, v in m.items())
+                else:
+                    g = gcd(*m.values()) if c > 0 else -gcd(*m.values())
+                    canon = frozenset((e, v // g) for e, v in m.items())
+                if canon not in seen:
+                    seen.add(canon)
+                    out.append(CommPoly(ring, {
+                        tuple(e // sh % (t + 1) for sh in shifts):
+                        ring.field(v) for e, v in canon}).primitive())
+        key = ring.order.key
+        out.sort(key=lambda q: key(q.lead_monomial()))
         return out
 
     def minor_ideal(self, t):
         return Ideal(self.ring, self.minors(t))
 
     def __repr__(self):
-        s, r = self.shape
-        lines = []
-        for i in range(s):
-            lines.append("[" + ", ".join(str(self.entry_poly(i, j))
-                                         for j in range(r)) + "]")
-        return "\n".join(lines)
+        return "\n".join("[" + ", ".join(str(self.ring.linear_form(e))
+                                          for e in row) + "]"
+                         for row in self.rows)
 

@@ -185,6 +185,32 @@ def test_coefficient_not_in_prime_field_exits_2(workdir, capsys):
     assert capsys.readouterr().err.startswith("input error:")
 
 
+def test_large_prime_field_resolves(workdir):
+    (workdir / "m61.pres").write_text("field 2305843009213693951\n"
+                                      "vars x, y\nrel x*y - 2*y*x\n")
+    assert run(["resolve", "m61.pres", "-L", "3",
+                "--json-out", "m61.json"]) == 0
+    assert load("m61.json")["results"]["right"]["ranks"] == [1, 2, 1, 0]
+
+
+def test_characteristic_above_certified_bound_exits_2(workdir, capsys):
+    (workdir / "big.pres").write_text("field 3317044064679887385961983\n"
+                                      "vars x, y\nrel x*y - 2*y*x\n")
+    assert run(["resolve", "big.pres", "--json-out", "big.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "certified bound" in err
+    assert not os.path.exists("big.json")
+
+
+def test_python_dash_m_quadralg_help():
+    src = os.path.dirname(os.path.dirname(quadralg.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "quadralg", "--help"],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: quadralg")
+
+
 @pytest.mark.parametrize("point", ["0,0", "1", "1,2,3", "1/0,1"])
 def test_sigma_bad_point_exits_2(workdir, capsys, point):
     code = run(["sigma", "qplane.pres", "--point", point,

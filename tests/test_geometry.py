@@ -1,15 +1,19 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quadralg.algebra import QuadraticPresentation
-from quadralg.geometry import (check_g1, check_point_exact, is_semi_standard,
-                               point_variety, pointwise_complex_exact,
-                               sigma_at, vr_membership)
-from quadralg.groebner import radical_member
+from quadralg.geometry import (POINT_BUDGET, PointVarietyIdeal,
+                               _small_points_on, check_g1, check_point_exact,
+                               is_semi_standard, point_variety,
+                               pointwise_complex_exact, sigma_at,
+                               vr_membership)
+from quadralg.groebner import Ideal, radical_member
 from quadralg.linearforms import ProjPoint
+from quadralg.polynomials import CommPoly, PolyRing
 from quadralg.resolutions import geometry_ring, linear_resolution
-from quadralg.scalars import QQ
+from quadralg.scalars import GF, QQ
 from conftest import sum_of_squares
 
 
@@ -325,3 +329,59 @@ def test_g1_pair_consistency(quantum_plane):
         p = ProjPoint(coords)
         q = sigma_at(pair, p)
         assert vr_membership(quantum_plane, p, q)
+
+
+@given(st.lists(st.integers(min_value=1, max_value=6), min_size=3,
+                max_size=3))
+@settings(max_examples=12)
+def test_skew_algebras_over_gf7_point_exact(params):
+    # the paper's second theorem: skew polynomial algebras are point-exact
+    F = GF(7)
+    q = [[1] * 3 for _ in range(3)]
+    for (i, j), a in zip([(0, 1), (0, 2), (1, 2)], params):
+        q[i][j], q[j][i] = a, pow(a, -1, 7)
+    A = QuadraticPresentation.skew(F, ["x", "y", "z"], q)
+    right, left = check_point_exact(A, "both", 3)
+    assert right.ok and left.ok
+    assert len(right.evidence) == len(left.evidence) == 4
+
+
+def _count_evaluations(monkeypatch):
+    calls = []
+    real = CommPoly.evaluate
+
+    def counting(self, point):
+        calls.append(1)
+        return real(self, point)
+
+    monkeypatch.setattr(CommPoly, "evaluate", counting)
+    return calls
+
+
+def test_small_point_scan_is_bounded_in_14_variables(monkeypatch):
+    ring = PolyRing(QQ, [f"x{i}" for i in range(14)])
+    x = ring.gens()
+    ideal = Ideal(ring, [x[0] * x[1] - x[2] * x[2], x[12] * x[13]])
+    calls = _count_evaluations(monkeypatch)
+    found = _small_points_on(ideal, ring, radius=2)
+    assert 0 < len(found) <= POINT_BUDGET
+    assert len(calls) <= len(ideal.gens) * POINT_BUDGET
+    assert all(all(not g.evaluate(pt.coords) for g in ideal.gens)
+               for pt in found)
+
+
+def test_semi_standard_witness_scan_is_bounded_in_14_variables(monkeypatch):
+    from quadralg.cli import _semi_standard_witness
+    names = [f"x{i}" for i in range(14)]
+    pres = QuadraticPresentation.commutative(QQ, names)
+    ring = geometry_ring(pres)
+    x = ring.gens()
+    # the right locus is all of P^13; no point with x0 = -2 lies on x0 = 0
+    right = PointVarietyIdeal("right", Ideal(ring, []), None, 14, 0)
+    left = PointVarietyIdeal("left", Ideal(ring, [x[0]]), None, 14, 0)
+    calls = _count_evaluations(monkeypatch)
+    wit = _semi_standard_witness(pres, right, left)
+    assert wit is not None and not left.contains_point(wit)
+    calls.clear()
+    assert _semi_standard_witness(pres, left, left) is None
+    assert len(calls) <= 2 * POINT_BUDGET

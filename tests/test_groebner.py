@@ -211,3 +211,51 @@ def test_package_attribute_is_the_submodule():
     import quadralg.groebner as G
     assert isinstance(quadralg.groebner, types.ModuleType)
     assert G is quadralg.groebner and callable(G.groebner)
+
+
+def _rabinowitsch_empty(ideal):
+    """Reference: every variable lies in the radical (one Rabinowitsch
+    basis per variable)."""
+    ring = ideal.ring
+    return all(radical_member(ring.var(i), ideal) for i in range(ring.nvars))
+
+
+def _small_ideals():
+    out = []
+    for field in (QQ, GF(7)):
+        ring = PolyRing(field, ["x", "y", "z", "w"])
+        x, y, z, w = ring.gens()
+        cases = [
+            ("point", [x, y, z], False),
+            ("line", [x - y, z + w * 2], False),
+            ("conic", [x * z - y * y, w], False),
+            # x = +-i y: points only over the algebraic closure
+            ("sum-of-squares", [x * x + y * y, z, w], False),
+            ("zero", [], False),
+            ("irrelevant", [x, y, z, w], True),
+            ("powers", [x * x, y * y + x * z, z ** 3, w * w - x * y], True),
+            ("unit", [ring.one()], True),
+        ]
+        out += [pytest.param(Ideal(ring, gens), empty, id=f"{name}-{field}")
+                for name, gens, empty in cases]
+    return out
+
+
+@pytest.mark.parametrize("ideal,empty", _small_ideals())
+def test_projective_empty_matches_rabinowitsch(ideal, empty):
+    assert projective_empty(ideal) == _rabinowitsch_empty(ideal) == empty
+
+
+def test_projective_empty_matches_rabinowitsch_on_acceptance_ideals(
+        quantum_plane, sec5_quotient, case2_algebra, case3_algebra):
+    from quadralg.geometry import point_variety
+    verdicts = []
+    for pres in (quantum_plane, sec5_quotient, case2_algebra, case3_algebra):
+        for side in ("right", "left"):
+            pv = point_variety(pres, side)
+            for ideal in (pv.ideal, pv.ideal + pv.matrix.minor_ideal(
+                    pres.n - 1)):
+                got = projective_empty(ideal)
+                assert got == _rabinowitsch_empty(ideal)
+                verdicts.append(got)
+    assert True in verdicts and False in verdicts

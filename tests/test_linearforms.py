@@ -1,12 +1,15 @@
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quadralg.exactlinalg import exact_rank
 from quadralg.linearforms import LinearFormMatrix, ProjPoint
 from quadralg.polynomials import PolyRing
-from quadralg.scalars import QQ
+from quadralg.scalars import GF, QQ
 
 
 @pytest.fixture
@@ -149,3 +152,73 @@ def test_rank_nullity_transfer(rxyz):
         t = exact_rank(Mp)
         assert exact_rank(Nq) <= r - t
         checked += 1
+
+
+def _reference_minors(M, t):
+    """Plain Laplace expansion in Fractions (ints mod p over GF(p)), with
+    no memo, then normalized, deduplicated and sorted as documented."""
+    ring = M.ring
+    n = ring.nvars
+    p = 0 if ring.field == QQ else ring.field.p
+
+    def det(rows, cols):
+        if not rows:
+            return {(0,) * n: 1 if p else Fraction(1)}
+        total = {}
+        for pos, j in enumerate(cols):
+            sub = det(rows[1:], cols[:pos] + cols[pos + 1:])
+            for i, c in enumerate(M.rows[rows[0]][j]):
+                c = c.val if p else Fraction(c)
+                for e, v in sub.items():
+                    e = e[:i] + (e[i] + 1,) + e[i + 1:]
+                    total[e] = total.get(e, 0) + (-c if pos % 2 else c) * v
+        if p:
+            total = {e: v % p for e, v in total.items()}
+        return {e: v for e, v in total.items() if v}
+
+    key = ring.order.key
+    out = []
+    for rows in combinations(range(M.shape[0]), t):
+        for cols in combinations(range(M.shape[1]), t):
+            m = det(rows, cols)
+            if not m:
+                continue
+            lc = m[max(m, key=key)]
+            if p:
+                m = {e: v * pow(lc, -1, p) % p for e, v in m.items()}
+            else:
+                m = {e: v / lc for e, v in m.items()}
+                den = lcm(*(v.denominator for v in m.values()))
+                g = gcd(*(int(v * den) for v in m.values()))
+                m = {e: Fraction(int(v * den), g) for e, v in m.items()}
+            if m not in out:
+                out.append(m)
+    out.sort(key=lambda m: key(max(m, key=key)))
+    return out
+
+
+_COEFFS = [Fraction(0)] * 4 + [Fraction(a, b) for a in (-3, -1, 1, 2)
+                               for b in (1, 2, 3)]
+
+
+@given(st.data())
+@settings(max_examples=80)
+def test_minors_match_fraction_laplace_reference(data):
+    field = data.draw(st.sampled_from([QQ, GF(7)]))
+    n = data.draw(st.integers(1, 3))
+    s, r = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    coeff = (st.sampled_from(_COEFFS) if field == QQ
+             else st.sampled_from([0, 0, 0, 1, 2, 3, 4, 5, 6]))
+    rows = data.draw(st.lists(st.lists(st.lists(coeff, min_size=n,
+                                                max_size=n),
+                                       min_size=r, max_size=r),
+                              min_size=s, max_size=s))
+    if s > 1 and data.draw(st.booleans()):
+        k = data.draw(st.sampled_from([Fraction(-2, 3), Fraction(5)]
+                                      if field == QQ else [3, 6]))
+        rows[-1] = [[c * k for c in entry] for entry in rows[0]]
+    M = LinearFormMatrix(PolyRing(field, ["x", "y", "z"][:n]), rows)
+    for t in range(1, min(s, r) + 2):
+        got = [{e: (c if field == QQ else c.val) for e, c in m.terms.items()}
+               for m in M.minors(t)]
+        assert got == _reference_minors(M, t)

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from quadralg.scalars import QQ, GF, field_from_descriptor
 
@@ -43,3 +44,42 @@ def test_descriptor_roundtrip():
     assert field_from_descriptor("QQ") == QQ
     assert field_from_descriptor("11") == GF(11)
     assert field_from_descriptor(13) == GF(13)
+
+
+def _trial_division(p):
+    if p < 2:
+        return False
+    d = 2
+    while d * d <= p:
+        if p % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def test_large_mersenne_prime_accepted():
+    # trial division up to sqrt(2^61 - 1) would not finish here
+    F = GF(2**61 - 1)
+    assert F(2**61) == F(1)
+
+
+@pytest.mark.parametrize("p", [561, 2**61 + 1, 3215031751, 2**64 + 1])
+def test_composites_refused(p):
+    # 561 is a Carmichael number, 3215031751 a strong pseudoprime to the
+    # bases 2, 3, 5 and 7
+    with pytest.raises(ValueError, match="not prime"):
+        GF(p)
+
+
+def test_characteristic_above_certified_bound_refused():
+    from quadralg.scalars import MAX_CHARACTERISTIC
+    with pytest.raises(ValueError, match="certified bound"):
+        GF(MAX_CHARACTERISTIC)
+    # the largest prime below 2^80 is still in range
+    assert GF(2**80 - 65).p == 2**80 - 65
+
+
+@given(st.integers(min_value=-5, max_value=10**6))
+def test_primality_agrees_with_trial_division(p):
+    from quadralg.scalars import _is_prime
+    assert _is_prime(p) == _trial_division(p)
