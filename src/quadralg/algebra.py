@@ -20,6 +20,14 @@ actions and conversions.  Two builders fill them, with identical results:
   through tables already built, with no elimination.  Such algebras are
   PBW, hence Koszul.  The test runs once per presentation, at its first
   component of degree >= 4.
+
+A third table, ``left``, holds x_u times each basis word of A_{d-1}.  It is
+built lazily per degree by x_u*(w'*x_a) = (x_u*w')*x_a: both builders make a
+normal word its normal prefix times its last letter, so each entry is one
+right step.  Images are flat tuples (index, scalar, ...) in one list per
+letter, equal scalars shared: 1.2 MB for the n = 6 skew algebra and its
+quotient to degree 8, against 6.8 MB as dicts keyed by (u, w).  A product
+walks the words of its shorter factor, through ``step`` or ``left``.
 """
 
 from __future__ import annotations
@@ -46,13 +54,14 @@ _INTERN = weakref.WeakValueDictionary()
 class GradedComponent:
     """Basis and multiplication data for one graded piece A_d."""
 
-    __slots__ = ("degree", "words", "index", "step")
+    __slots__ = ("degree", "words", "index", "step", "left")
 
     def __init__(self, degree, words, step):
         self.degree = degree
         self.words = words
         self.index = {w: i for i, w in enumerate(words)}
         self.step = step  # (index in A_{d-1}, letter) -> {index in A_d: scalar}
+        self.left = None  # [letter][index in A_{d-1}] -> (index, scalar, ...)
 
     @property
     def dim(self):
@@ -241,30 +250,55 @@ class QuadraticPresentation:
         ``convert_element``).
         """
         for letter in word:
-            if linmap is not None:
-                vec = self.multiply_by_linear(vec, k, linmap[letter])
-            else:
-                step = self.component(k + 1).step
-                nxt = {}
-                for i, v in vec.items():
+            step = self.component(k + 1).step
+            nxt = {}
+            for i, v in vec.items():
+                if linmap is None:
                     img = step.get((i, letter))
                     if img:
                         add_scaled(nxt, img, v)
-                vec = nxt
+                    continue
+                for u, c in enumerate(linmap[letter]):
+                    img = step.get((i, u)) if c else None
+                    if img:
+                        add_scaled(nxt, img, v * c)
+            vec = nxt
             k += 1
         return vec
 
-    def multiply_by_linear(self, coords, k, linform):
-        """A_k coords times a degree-1 form (coefficient sequence)."""
-        step = self.component(k + 1).step
-        out = {}
-        for i, v in coords.items():
-            for u, c in enumerate(linform):
-                if c:
-                    img = step.get((i, u))
-                    if img:
-                        add_scaled(out, img, v * c)
-        return out
+    def left_table(self, d):
+        """Left multiplication A_{d-1} -> A_d by each generator, built once
+        from the step tables (see the module docstring)."""
+        comp = self.component(d)
+        if comp.left is None:
+            if d == 1:
+                comp.left = [[(u, self.field.one)] for u in range(self.n)]
+            else:
+                lower, prev2 = self.left_table(d - 1), self.component(d - 2)
+                split = [(prev2.index[w[:-1]], w[-1])
+                         for w in self.component(d - 1).words]
+                shared = {}  # one object per distinct scalar
+                left = []
+                for low in lower:
+                    images = (self.walk(add_flat({}, low[i]), d - 1, (a,))
+                              for i, a in split)
+                    left.append([tuple(x for j, c in img.items()
+                                       for x in (j, shared.setdefault(c, c)))
+                                 for img in images])
+                comp.left = left
+        return comp.left
+
+    def walk_left(self, vec, k, word):
+        """Multiply the A_k coordinates ``vec`` on the left by ``word``, last
+        letter first; returns coordinates in A_{k + len(word)}."""
+        for letter in reversed(word):
+            k += 1
+            table = self.left_table(k)[letter]
+            nxt = {}
+            for i, v in vec.items():
+                add_flat(nxt, table[i], v)
+            vec = nxt
+        return vec
 
     # ---- presentation-level operations ----------------------------------
 
@@ -335,6 +369,22 @@ class QuadraticPresentation:
     def __repr__(self):
         return (f"<quadratic algebra k<{', '.join(self.names)}> "
                 f"with {self.r} relations>")
+
+
+def add_flat(out, flat, c=None):
+    """``add_scaled`` for an image stored flat as (index, scalar, ...)."""
+    get = out.get
+    it = iter(flat)
+    for k, v in zip(it, it):
+        if c is not None:
+            v = c * v
+        acc = get(k)
+        acc = v if acc is None else acc + v
+        if acc:
+            out[k] = acc
+        else:
+            out.pop(k, None)
+    return out
 
 
 def _rref_component(pres, d, prev, prev2):
@@ -451,13 +501,16 @@ class AlgebraElement:
             return self.scale(other)
         self._check(other)
         pres = self.presentation
-        out_deg = self.degree + other.degree
-        comp_other = pres.component(other.degree)
+        # walk the words of the factor with fewer letters through the other
+        if self.degree < other.degree:
+            fixed, walker, walk = other, self, pres.walk_left
+        else:
+            fixed, walker, walk = self, other, pres.walk
+        words = pres.component(walker.degree).words
         out = {}
-        for i, c in other.coords.items():
-            add_scaled(out, pres.walk(self.coords, self.degree,
-                                      comp_other.words[i]), c)
-        return AlgebraElement(pres, out_deg, out)
+        for i, c in walker.coords.items():
+            add_scaled(out, walk(fixed.coords, fixed.degree, words[i]), c)
+        return AlgebraElement(pres, self.degree + other.degree, out)
 
     __rmul__ = scale
 
@@ -598,12 +651,11 @@ def is_regular_up_to(f, d_max):
         dim_tgt = pres.component(i + m).dim
         if dim_tgt < dim_src:
             return False
+        basis = [AlgebraElement(pres, i, {w: pres.field.one})
+                 for w in range(dim_src)]
         for side in ("left", "right"):
-            cols = []
-            for w in range(dim_src):
-                basis = AlgebraElement(pres, i, {w: pres.field.one})
-                prod = f * basis if side == "left" else basis * f
-                cols.append(prod.coords)
+            cols = [(f * b if side == "left" else b * f).coords
+                    for b in basis]
             if pres.field == QQ and modular_rank(cols, dim_tgt) == dim_src:
                 continue
             if rank_of_columns(cols, dim_tgt, pres.field) != dim_src:

@@ -23,11 +23,10 @@ from .algebra import (DEFAULT_DEGREE_CAP, DegreeCapExceeded,
 from .geometry import (check_g1, check_point_exact, point_variety,
                        sigma_at, _small_points_on)
 from .groebner import variety_equal
-from .linearforms import ProjPoint
+from .linearforms import ProjPoint, geometry_ring
 from .parsing import (ParseError, parse_element, parse_presentation_file,
                       presentation_to_text)
-from .resolutions import (NonlinearKernelError, geometry_ring,
-                          linear_resolution)
+from .resolutions import NonlinearKernelError, linear_resolution
 from .serialize import (complex_to_dict, ideal_strings,
                         point_exact_report_to_dict, point_to_strings,
                         render_element, verification_to_dict)

@@ -17,8 +17,8 @@ from itertools import islice, product
 
 from .exactlinalg import exact_rank, nullspace
 from .groebner import Ideal, RadicalTester, projective_empty, variety_equal
-from .linearforms import LinearFormMatrix, ProjPoint
-from .resolutions import geometry_ring, linear_resolution
+from .linearforms import LinearFormMatrix, ProjPoint, geometry_ring
+from .resolutions import linear_resolution
 
 
 def _resolution(presentation, side, length, resolutions=None):

@@ -15,7 +15,7 @@ from math import gcd, lcm
 
 from .exactlinalg import exact_rank
 from .groebner import Ideal
-from .polynomials import CommPoly
+from .polynomials import DEGREVLEX, CommPoly, PolyRing
 from .scalars import QQ
 
 
@@ -47,6 +47,15 @@ class ProjPoint:
 
     def __repr__(self):
         return "(" + " : ".join(str(c) for c in self.coords) + ")"
+
+
+def geometry_ring(presentation):
+    """The commutative ring of the generators, one per presentation."""
+    ring = presentation._cache.get("geometry_ring")
+    if ring is None:
+        ring = PolyRing(presentation.field, presentation.names, DEGREVLEX)
+        presentation._cache["geometry_ring"] = ring
+    return ring
 
 
 class LinearFormMatrix:

@@ -15,11 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebra import AlgebraElement, GradedAutomorphism
-from .exactlinalg import (columns_to_rows, modular_rank, nullspace,
-                          rank_of_columns, solve_batch)
-from .linearforms import LinearFormMatrix
-from .polynomials import PolyRing, DEGREVLEX
+from .algebra import AlgebraElement, GradedAutomorphism, add_flat
+from .exactlinalg import (add_scaled, columns_to_rows, modular_rank,
+                          nullspace, rank_of_columns, solve_batch)
+from .linearforms import LinearFormMatrix, geometry_ring
 
 
 class NonlinearKernelError(RuntimeError):
@@ -72,9 +71,6 @@ class FreeModuleMap:
     def ncols(self):
         return len(self.source_shifts)
 
-    def entry(self, k, j):
-        return self.entries[k][j]
-
     def is_zero(self):
         return all(not e for row in self.entries for e in row)
 
@@ -95,9 +91,8 @@ class FreeModuleMap:
                     a = self.entries[k][t]
                     b = other.entries[t][j]
                     if a and b:
-                        acc = acc + a * b if acc else a * b
-                row.append(acc if acc else
-                           AlgebraElement(pres, max(deg, 0), {}))
+                        acc = acc + a * b
+                row.append(acc)
             out.append(row)
         return FreeModuleMap(pres, self.target_shifts, other.source_shifts,
                              out)
@@ -168,27 +163,39 @@ class FreeModuleMap:
 
     def degree_columns(self, e):
         """Scalar matrix of the internal-degree-e component, as sparse
-        columns; returns (columns, nrows, col_labels)."""
+        columns; returns (columns, nrows, col_labels).  Entry times basis
+        word walks the entry's words on the left through the left tables."""
         pres = self.presentation
         row_offsets, total_rows = self.row_offsets(e)
         columns = []
         labels = []
         for j, s in enumerate(self.source_shifts):
             d = e - s
-            if d < 0:
+            if d < 0 or not pres.dim(d):
                 continue
-            sdim = pres.dim(d)
-            for w in range(sdim):
-                basis = AlgebraElement(pres, d, {w: pres.field.one})
+            blocks = []
+            first = None  # left multiplication into A_{d+1}
+            for k, row in enumerate(self.entries):
+                ent = row[j]
+                if ent:
+                    if ent.degree and first is None:
+                        first = pres.left_table(d + 1)
+                    words = pres.component(ent.degree).words
+                    blocks.append((row_offsets[k], [
+                        (words[i], c) for i, c in ent.coords.items()]))
+            for w in range(pres.dim(d)):
                 col = {}
-                for k in range(self.nrows):
-                    ent = self.entries[k][j]
-                    if not ent:
-                        continue
-                    prod = ent * basis
-                    off = row_offsets[k]
-                    for t, c in prod.coords.items():
-                        col[off + t] = c
+                for off, terms in blocks:
+                    prod = {}
+                    for word, c in terms:
+                        if len(word) <= 1:  # one lookup, or a scalar entry
+                            add_flat(prod, first[word[0]][w] if word
+                                     else (w, pres.field.one), c)
+                        else:
+                            add_scaled(prod, pres.walk_left(
+                                add_flat({}, first[word[-1]][w]), d + 1,
+                                word[:-1]), c)
+                    col.update((off + t, c) for t, c in prod.items())
                 columns.append(col)
                 labels.append((j, w))
         return columns, total_rows, labels
@@ -225,14 +232,6 @@ def zero_map(presentation, target_shifts, source_shifts):
                                     max(s - t, 0), {})
                      for s in source_shifts])
     return FreeModuleMap(presentation, target_shifts, source_shifts, rows)
-
-
-def geometry_ring(presentation):
-    ring = presentation._cache.get("geometry_ring")
-    if ring is None:
-        ring = PolyRing(presentation.field, presentation.names, DEGREVLEX)
-        presentation._cache["geometry_ring"] = ring
-    return ring
 
 
 @dataclass

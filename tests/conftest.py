@@ -57,6 +57,27 @@ def sum_of_squares(pres):
     return total
 
 
+def right_walk_product(a, b):
+    """Reference product a*b: every basis word of b walked letter by letter
+    on the right through the step tables, read directly (no left tables,
+    no ``QuadraticPresentation.walk``)."""
+    pres = a.presentation
+    zero = pres.field.zero
+    out = {}
+    for i, c in b.coords.items():
+        vec, k = dict(a.coords), a.degree
+        for letter in pres.component(b.degree).words[i]:
+            step = pres.component(k + 1).step
+            nxt = {}
+            for j, v in vec.items():
+                for t, x in step.get((j, letter), {}).items():
+                    nxt[t] = nxt.get(t, zero) + v * x
+            vec, k = nxt, k + 1
+        for t, v in vec.items():
+            out[t] = out.get(t, zero) + c * v
+    return {t: v for t, v in out.items() if v}
+
+
 def quotient_resolutions(pres, f, length=6, internal_cap=None):
     """Right and left quotient resolutions built through the homotopy tower."""
     P = linear_resolution(pres, "right", length)

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import find, given, settings, strategies as st
 
 from quadralg import algebra
-from quadralg.algebra import (DegreeCapExceeded, GradedAutomorphism,
+from quadralg.algebra import (AlgebraElement, DegreeCapExceeded,
+                              GradedAutomorphism,
                               NormalityUndecided, QuadraticPresentation,
                               _rewrite_component, _rref_component,
                               convert_element, is_normal, is_regular_up_to,
@@ -18,7 +19,7 @@ from quadralg.shamash import NotRegularError, shamash
 from quadralg.resolutions import linear_resolution
 from quadralg.exactlinalg import RowSpace
 from quadralg.scalars import GF, QQ
-from conftest import sum_of_squares
+from conftest import right_walk_product, sum_of_squares
 
 
 def brute_component_dim(pres, d):
@@ -436,3 +437,97 @@ def test_is_normal_undecided_when_sigma_is_not_unique():
     with pytest.raises(NotRegularError):
         shamash(pres, linear_resolution(pres, "right", 3, check="report"),
                 f, length=3)
+
+
+# ---- left multiplication tables ---------------------------------------
+
+def basis_element(pres, d, w):
+    return AlgebraElement(pres, d, {w: pres.field.one})
+
+
+def assert_left_tables_match(pres, top):
+    """Every image x_u * w stored in the left tables of A_1..A_top is the
+    product computed by the right walk, with no zero scalar stored."""
+    for d in range(1, top + 1):
+        table = pres.left_table(d)
+        assert len(table) == pres.n
+        for u, images in enumerate(table):
+            assert len(images) == pres.dim(d - 1)
+            for w, img in enumerate(images):
+                stored = dict(zip(img[::2], img[1::2]))
+                assert len(stored) * 2 == len(img)
+                assert all(stored.values())
+                assert stored == right_walk_product(
+                    pres.generator(u), basis_element(pres, d - 1, w))
+
+
+@settings(max_examples=40)
+@given(builder_cases())
+def test_left_tables_match_right_walk(case):
+    pres, top = case
+    assert_left_tables_match(pres, top)
+
+
+def jordan_plane(field, square):
+    """x*y - y*x - y^2 (PBW) or x*y - y*x - x^2 (not PBW in this order)."""
+    return QuadraticPresentation.create(
+        field, ["jx", "jy"], [{(0, 1): 1, (1, 0): -1, square: -1}],
+        degree_cap=7)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)])
+@pytest.mark.parametrize("square", [(1, 1), (0, 0)])
+def test_left_tables_of_the_jordan_plane(field, square):
+    pres = jordan_plane(field, square)
+    assert pres._is_pbw() is (square == (1, 1))
+    assert_left_tables_match(pres, 7)
+
+
+def test_left_tables_of_the_sec5_algebra(sec5_algebra, sec5_quotient):
+    for pres in (sec5_algebra, sec5_quotient):
+        assert not pres._is_pbw()
+        assert_left_tables_match(pres, 6)
+
+
+@st.composite
+def product_cases(draw):
+    """Two random homogeneous elements of one presentation (builder_cases)
+    whose degrees, 0 included on either side, sum to at most the top."""
+    pres, top = draw(builder_cases())
+    coeff = st.integers(-3, 3)
+
+    def element(degree):
+        dim = pres.dim(degree)
+        coords = draw(st.dictionaries(st.integers(0, dim - 1), coeff,
+                                      max_size=4)) if dim else {}
+        return AlgebraElement(pres, degree, {i: pres.field(c)
+                                             for i, c in coords.items()})
+
+    da = draw(st.integers(0, top))
+    return element(da), element(draw(st.integers(0, top - da)))
+
+
+@settings(max_examples=80)
+@given(product_cases())
+def test_products_match_right_walk(case):
+    a, b = case
+    prod = a * b
+    assert prod.degree == a.degree + b.degree
+    assert prod.coords == right_walk_product(a, b)
+
+
+def test_products_of_mixed_degrees_on_fixed_algebras(sec5_algebra):
+    """Every pair of degrees up to 5 on the sec. 5 algebra and the Jordan
+    plane over QQ and GF(7), with random coefficients."""
+    rng = random.Random(8)
+    algebras = [sec5_algebra] + [jordan_plane(field, sq) for field in
+                                 (QQ, GF(7)) for sq in ((1, 1), (0, 0))]
+    for pres in algebras:
+        for da in range(6):
+            for db in range(6 - da):
+                a, b = (AlgebraElement(pres, d, {
+                    i: pres.field(rng.randint(-3, 3))
+                    for i in rng.sample(range(pres.dim(d)),
+                                        min(3, pres.dim(d)))})
+                    for d in (da, db))
+                assert (a * b).coords == right_walk_product(a, b)

@@ -4,13 +4,15 @@ from math import comb
 
 import pytest
 
-from quadralg.algebra import GradedAutomorphism, QuadraticPresentation
+from quadralg.algebra import (AlgebraElement, GradedAutomorphism,
+                              QuadraticPresentation)
 from quadralg.exactlinalg import exact_rank
 from quadralg.resolutions import (FreeComplex, FreeModuleMap,
                                   NonlinearKernelError, geometry_ring,
                                   linear_resolution, scalar_chain_isomorphism,
                                   twist_complex, verify_complex)
 from quadralg.scalars import QQ
+from conftest import quotient_resolutions, right_walk_product, sum_of_squares
 
 
 def test_quantum_plane_resolution_matches_display(quantum_plane):
@@ -153,3 +155,108 @@ def test_scalar_chain_iso_rejects_non_isomorphic(quantum_plane):
                                          [{(0, 1): 1, (1, 0): -3}])
     M = linear_resolution(other, "right", 3)
     assert scalar_chain_isomorphism(L, M) is None  # different algebras
+
+
+# ---- degree_columns against the per-basis-product reference -------------
+
+def reference_degree_columns(fmap, e):
+    """degree_columns as it was before the left tables: every entry times
+    every basis vector of its source block, as a right-walk product."""
+    pres = fmap.presentation
+    row_offsets, total_rows = fmap.row_offsets(e)
+    columns, labels = [], []
+    for j, s in enumerate(fmap.source_shifts):
+        d = e - s
+        if d < 0:
+            continue
+        for w in range(pres.dim(d)):
+            basis = AlgebraElement(pres, d, {w: pres.field.one})
+            col = {}
+            for k in range(fmap.nrows):
+                ent = fmap.entries[k][j]
+                if ent:
+                    for t, c in right_walk_product(ent, basis).items():
+                        col[row_offsets[k] + t] = c
+            columns.append(col)
+            labels.append((j, w))
+    return columns, total_rows, labels
+
+
+def assert_columns_match(fmap, top):
+    """Columns, row count and labels agree in every internal degree whose
+    products stay within A_top."""
+    low = min(fmap.target_shifts, default=0)
+    for e in range(0, top + low + 1):
+        assert fmap.degree_columns(e) == reference_degree_columns(fmap, e)
+
+
+@pytest.mark.parametrize("name", ["quantum_plane", "sec5_algebra",
+                                  "case2_algebra", "case3_algebra"])
+def test_degree_columns_of_acceptance_resolutions(name, request):
+    pres = request.getfixturevalue(name)
+    for side in ("right", "left"):
+        L = linear_resolution(pres, side, 4, check="report")
+        for d in L.maps:
+            assert_columns_match(d, 6)
+
+
+def test_degree_columns_of_a_shamash_tower(case3_algebra):
+    """The quotient resolutions and every homotopy of the towers over the
+    +-1-skew quadric."""
+    f = sum_of_squares(case3_algebra)
+    complexes, towers = quotient_resolutions(case3_algebra, f, length=4,
+                                             internal_cap=6)
+    for side in ("right", "left"):
+        for d in complexes[side].maps:
+            assert_columns_match(d, 6)
+        for c in towers[side].cmaps.values():
+            assert_columns_match(c, 6)
+
+
+def mixed_degree_map(pres):
+    """Entries of degrees 0 to 3 and zero entries, so that scalar entries
+    and the multi-letter left walk are exercised."""
+    rng = random.Random(5)
+    x = [pres.generator(i) for i in range(pres.n)]
+
+    def entry(degree):
+        out = pres.zero_element(degree)
+        for _ in range(3):
+            term = pres.one()
+            for _ in range(degree):
+                term = term * x[rng.randrange(pres.n)]
+            out = out + term.scale(rng.choice([1, -2, Fraction(1, 3)]))
+        return out
+
+    return FreeModuleMap(pres, (0, 1, 2), (2, 3), [
+        [entry(2), entry(3)],
+        [entry(1), pres.zero_element(2)],
+        [entry(0), entry(1)],
+    ])
+
+
+def test_degree_columns_of_a_mixed_degree_map(sec5_algebra, case3_algebra):
+    for pres in (sec5_algebra, case3_algebra):
+        fmap = mixed_degree_map(pres)
+        assert any(e.degree == 3 for row in fmap.entries for e in row)
+        assert_columns_match(fmap, 6)
+
+
+def test_degree_columns_do_not_depend_on_call_history():
+    """On a fresh presentation the degree-7 columns come out the same
+    whether they are built first or after every lower degree."""
+    q = [[1, -1, 1], [-1, 1, -1], [1, -1, 1]]
+    first, after = (QuadraticPresentation.skew(QQ, ["h0", "h1", "h2"], q,
+                                               degree_cap=cap)
+                    for cap in (11, 12))
+    maps = []
+    for pres in (first, after):
+        assert not pres._components
+        x = [pres.generator(i) for i in range(3)]
+        maps.append(FreeModuleMap(pres, (0, 1), (1, 2), [
+            [x[0], x[1] * x[2]], [pres.one().scale(3), x[0] - x[2]]]))
+    direct = maps[0].degree_columns(7)
+    for e in range(7):
+        maps[1].degree_columns(e)
+    assert direct == maps[1].degree_columns(7)
+    assert direct == reference_degree_columns(maps[0], 7)
