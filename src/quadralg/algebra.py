@@ -81,7 +81,10 @@ class QuadraticPresentation:
                  "_rel_space", "_cache", "_pbw", "__weakref__")
 
     def __new__(cls, field, names, relation_rows, degree_cap=None):
-        degree_cap = degree_cap or DEFAULT_DEGREE_CAP
+        if degree_cap is None:
+            degree_cap = DEFAULT_DEGREE_CAP
+        elif degree_cap < 0:
+            raise ValueError(f"degree cap must be >= 0, got {degree_cap}")
         key = (field_descriptor(field), tuple(names),
                tuple(tuple(sorted(r.items())) for r in relation_rows),
                degree_cap)

@@ -21,7 +21,7 @@ from . import __version__
 from .algebra import (DEFAULT_DEGREE_CAP, DegreeCapExceeded,
                       NormalityUndecided, is_normal, is_regular_up_to)
 from .geometry import (check_g1, check_point_exact, point_variety,
-                       sigma_at, _small_points_on)
+                       sigma_at, _small_box, _small_points_on)
 from .groebner import variety_equal
 from .linearforms import ProjPoint, geometry_ring
 from .parsing import (ParseError, parse_element, parse_presentation_file,
@@ -216,12 +216,21 @@ def _cmd_point_variety(args, pres, cap, lift):
 
 
 def _semi_standard_witness(pres, right, left, radius=2):
+    """A small point on one point variety and off the other, one on the
+    right variety if there is any; each vector of ``_small_box`` is tested
+    at most once against each variety."""
     ring = geometry_ring(pres)
-    for pv, other in ((right, left), (left, right)):
-        for pt in _small_points_on(pv.ideal, ring, radius):
-            if not other.contains_point(pt):
-                return pt
-    return None
+    left_only = None
+    for coords in _small_box(ring.nvars, radius):
+        point = [ring.field(c) for c in coords]
+        on_right = right.contains_point(point)
+        if on_right or left_only is None:
+            on_left = left.contains_point(point)
+            if on_right and not on_left:
+                return ProjPoint(coords, ring.field)
+            if on_left and not on_right and left_only is None:
+                left_only = coords
+    return None if left_only is None else ProjPoint(left_only, ring.field)
 
 
 def _cmd_check_g1(args, pres, cap, lift):

@@ -1,24 +1,26 @@
 """Exact linear algebra: the sparse-vector helpers (accumulate, transpose),
-sparse reduced row echelon form, fraction-free rank, nullspaces, batched
-linear solves, and a sparse mod-p rank kernel.
+and two elimination kernels on sparse rows, one per kind of field.
 
-Everything here is exact.  ``rank_mod_p`` computes rank over F_p, which is a
-certified LOWER bound for the rank over QQ of an integer matrix; callers
-combine such bounds into exact certificates and fall back to rational
-elimination when the certificate does not close.  The kernel eliminates the
-sparse rows in Python integers mod p, shortest rows first.  The certificate
-matrices of algebras with monomial or binomial relations (the skew and
-commutative families) are far below 1 % dense and fill in little; relations
-with many terms give denser matrices, where this kernel is several times
-slower than dense elimination would be.
+- ``RowSpace``, a reduced row echelon form over any field, does every
+  rational rank, nullspaces, batched solves and inverses.
+- A mod-p echelon in Python integers does every rank over F_p: the exact
+  ranks over GF(p) and ``rank_mod_p``, which reduces a rational matrix mod
+  p.  Such a rank is a certified LOWER bound for the rank over QQ; callers
+  combine these bounds into exact certificates and fall back to rational
+  elimination when the certificate does not close.
+
+The mod-p kernel eliminates the sparse rows shortest first.  The matrices
+of algebras with monomial or binomial relations (the skew and commutative
+families) are far below 1 % dense and fill in little; relations with many
+terms give denser matrices, where this kernel, over QQ and over GF(p)
+alike, is several times slower than dense elimination would be.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
-from .scalars import QQ, FpElement
+from .scalars import QQ
 
 # Primes just under 2^31: large enough that a random rank drop mod p is
 # rare, so the certificates close without the rational fallback.
@@ -166,78 +168,26 @@ def solve_batch(rows, ncols, rhs_columns, field=QQ):
     return out
 
 
-def _integerize_rows(rows):
-    """Scale each row by the lcm of denominators: integer rows, same rank."""
-    out = []
-    for row in rows:
-        den = 1
-        for v in row:
-            if isinstance(v, Fraction):
-                den = den * v.denominator // gcd(den, v.denominator)
-        out.append([int(v * den) if isinstance(v, Fraction) else int(v) * den
-                    for v in row])
-    return out
+def _entries(row):
+    """(column, scalar) pairs of a dense list row or a sparse dict row."""
+    return row.items() if isinstance(row, dict) else enumerate(row)
 
 
 def exact_rank(rows, field=QQ):
-    """Exact rank of a dense scalar matrix (list of rows).
+    """Exact rank of a matrix given by its rows: dense lists or sparse
+    dicts {column: scalar}.
 
-    Over QQ: fraction-free Gaussian elimination (Bareiss) after clearing
-    denominators row-wise.  Over F_p: ordinary elimination on residues.
+    Over QQ the rows go into a ``RowSpace``; over F_p their residues go
+    through the mod-p echelon.  Entries are coerced into the field before
+    they are tested for zero.
     """
-    rows = [list(r) for r in rows]
-    if not rows or not rows[0]:
-        return 0
     if field == QQ:
-        m = _integerize_rows(rows)
-        nrows, ncols = len(m), len(m[0])
-        rank = 0
-        prev = 1
-        for col in range(ncols):
-            piv = None
-            for i in range(rank, nrows):
-                if m[i][col]:
-                    piv = i
-                    break
-            if piv is None:
-                continue
-            m[rank], m[piv] = m[piv], m[rank]
-            lead = m[rank][col]
-            for i in range(rank + 1, nrows):
-                head = m[i][col]
-                row_i = m[i]
-                row_r = m[rank]
-                for j in range(col, ncols):
-                    row_i[j] = (lead * row_i[j] - head * row_r[j]) // prev
-            prev = lead
-            rank += 1
-            if rank == nrows:
-                break
-        return rank
-    p = field.p
-    m = [[v.val if isinstance(v, FpElement) else int(v) % p for v in row]
-         for row in rows]
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(rank, nrows):
-            if m[i][col] % p:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = pow(m[rank][col], -1, p)
-        m[rank] = [(v * inv) % p for v in m[rank]]
-        for i in range(rank + 1, nrows):
-            head = m[i][col] % p
-            if head:
-                m[i] = [(a - head * b) % p for a, b in zip(m[i], m[rank])]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+        space = RowSpace(QQ)
+        for row in rows:
+            space.add({j: c for j, v in _entries(row) if (c := QQ(v))})
+        return space.rank
+    return _echelon_rank([{j: c for j, v in _entries(row)
+                           if (c := field(v).val)} for row in rows], field.p)
 
 
 class PrimeClash(Exception):
@@ -256,19 +206,13 @@ def _residue(value, p):
     return int(value) % p
 
 
-def rank_mod_p(columns, nrows, p):
-    """Rank over F_p of the sparse-column matrix; raises PrimeClash if a
-    denominator hits p.
+def _echelon_rank(rows, p):
+    """Rank over F_p of sparse rows {column: nonzero residue}, which are
+    consumed.
 
     Rows are inserted shortest first into a monic echelon keyed by leading
     column, with no back-reduction.
     """
-    rows = [{} for _ in range(nrows)]
-    for j, col in enumerate(columns):
-        for i, v in col.items():
-            r = _residue(v, p)
-            if r:
-                rows[i][j] = r
     pivots = {}
     for row in sorted(filter(None, rows), key=len):
         while row:
@@ -289,6 +233,18 @@ def rank_mod_p(columns, nrows, p):
     return len(pivots)
 
 
+def rank_mod_p(columns, nrows, p):
+    """Rank over F_p of the sparse-column matrix, eliminated by rows;
+    raises PrimeClash if a denominator hits p."""
+    rows = [{} for _ in range(nrows)]
+    for j, col in enumerate(columns):
+        for i, v in col.items():
+            r = _residue(v, p)
+            if r:
+                rows[i][j] = r
+    return _echelon_rank(rows, p)
+
+
 def modular_rank(columns, nrows):
     """Rank over some good prime, cycling on denominator clashes.
 
@@ -304,43 +260,20 @@ def modular_rank(columns, nrows):
 
 
 def rank_of_columns(columns, nrows, field=QQ):
-    """Exact rank of a sparse-column matrix over the field."""
-    if field == QQ:
-        space = RowSpace(field)
-        for r in columns_to_rows(columns, nrows):
-            space.add(r)
-        return space.rank
-    dense = [[field.zero] * len(columns) for _ in range(nrows)]
-    for j, col in enumerate(columns):
-        for i, v in col.items():
-            dense[i][j] = v
-    return exact_rank(dense, field)
+    """Exact rank of a sparse-column matrix over the field: the rank of its
+    transpose, whose rows are the columns."""
+    return exact_rank(columns, field)
 
 
 def invert_matrix(rows, field=QQ):
     """Exact inverse of a small square matrix; None if singular."""
     n = len(rows)
-    aug = [[field(v) for v in row] + [field.one if i == j else field.zero
-                                      for j in range(n)]
-           for i, row in enumerate(rows)]
-    rank = 0
-    for col in range(n):
-        piv = None
-        for i in range(rank, n):
-            if aug[i][col]:
-                piv = i
-                break
-        if piv is None:
-            return None
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        inv = field.one / aug[rank][col]
-        aug[rank] = [v * inv for v in aug[rank]]
-        for i in range(n):
-            if i != rank and aug[i][col]:
-                head = aug[i][col]
-                aug[i] = [a - head * b for a, b in zip(aug[i], aug[rank])]
-        rank += 1
-    return [row[n:] for row in aug]
+    sparse = [{j: c for j, v in enumerate(row) if (c := field(v))}
+              for row in rows]
+    sols = solve_batch(sparse, n, [{i: field.one} for i in range(n)], field)
+    if any(sol is None for sol in sols):
+        return None
+    return [[sols[j].get(i, field.zero) for j in range(n)] for i in range(n)]
 
 
 def mat_mul(a, b, field=QQ):

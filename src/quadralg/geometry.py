@@ -13,7 +13,7 @@ only ever a pre-filter whose negative answers are conclusive witnesses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice, product
+from itertools import combinations, islice, product
 
 from .exactlinalg import exact_rank, nullspace
 from .groebner import Ideal, RadicalTester, projective_empty, variety_equal
@@ -215,16 +215,30 @@ class PointExactReport:
 POINT_BUDGET = 4096
 
 
+def _small_box(n, radius):
+    """At most POINT_BUDGET nonzero vectors of the box [-radius, radius]^n,
+    the sparsest first, returned in product order; a box within the budget
+    is returned whole."""
+    nonzero = [v for v in range(-radius, radius + 1) if v]
+
+    def by_support():
+        for size in range(1, n + 1):
+            for support in combinations(range(n), size):
+                for vals in product(nonzero, repeat=size):
+                    coords = [0] * n
+                    for i, v in zip(support, vals):
+                        coords[i] = v
+                    yield tuple(coords)
+
+    return sorted(islice(by_support(), POINT_BUDGET))
+
+
 def _small_points_on(ideal, ring, radius=1):
     """Rational points with small coordinates on a projective variety,
-    among the first POINT_BUDGET vectors of the box in product order."""
-    n = ring.nvars
-    vals = list(range(-radius, radius + 1))
+    among the vectors of ``_small_box``."""
     found = []
     seen = set()
-    for coords in islice(product(vals, repeat=n), POINT_BUDGET):
-        if not any(coords):
-            continue
+    for coords in _small_box(ring.nvars, radius):
         if all(not g.evaluate([ring.field(c) for c in coords])
                for g in ideal.gens):
             pt = ProjPoint(coords, ring.field)

@@ -19,6 +19,7 @@ from .algebra import AlgebraElement, GradedAutomorphism, add_flat
 from .exactlinalg import (add_scaled, columns_to_rows, modular_rank,
                           nullspace, rank_of_columns, solve_batch)
 from .linearforms import LinearFormMatrix, geometry_ring
+from .scalars import QQ
 
 
 class NonlinearKernelError(RuntimeError):
@@ -345,23 +346,20 @@ class FreeComplex:
                 f"{self.ranks()}>")
 
 
-def _exact_rank_cached(cache, cplx, i, e):
-    key = (i, e, "exact")
+def _rank_cached(cache, cplx, i, e, certified):
+    """Rank of d_i in internal degree e, memoized per (i, e, certified).
+
+    ``certified`` asks for the mod-p lower bound that the certificates sum
+    over QQ; over a prime field the exact rank is already the cheap one, so
+    both requests share it.
+    """
+    field = cplx.presentation.field
+    certified = certified and field == QQ
+    key = (i, e, certified)
     if key not in cache:
         cols, nrows, _ = cplx.maps[i - 1].degree_columns(e)
-        cache[key] = rank_of_columns(cols, nrows, cplx.presentation.field)
-    return cache[key]
-
-
-def _modular_rank_cached(cache, cplx, i, e):
-    from .scalars import QQ
-    if cplx.presentation.field != QQ:
-        # over a prime field the exact rank is already the cheap one
-        return _exact_rank_cached(cache, cplx, i, e)
-    key = (i, e, "mod")
-    if key not in cache:
-        cols, nrows, _ = cplx.maps[i - 1].degree_columns(e)
-        cache[key] = modular_rank(cols, nrows)
+        cache[key] = (modular_rank(cols, nrows) if certified
+                      else rank_of_columns(cols, nrows, field))
     return cache[key]
 
 
@@ -403,11 +401,11 @@ def verify_complex(cplx, internal_cap):
             if target == 0:
                 report.augmentation[e] = True
                 continue
-            if _modular_rank_cached(cache, cplx, 1, e) == target:
+            if _rank_cached(cache, cplx, 1, e, True) == target:
                 report.augmentation[e] = True
             else:
                 report.augmentation[e] = (
-                    _exact_rank_cached(cache, cplx, 1, e) == target)
+                    _rank_cached(cache, cplx, 1, e, False) == target)
     # homology at positions 1..length-1
     for i in range(1, cplx.length):
         ok_composite = all(composites[:i])
@@ -416,13 +414,13 @@ def verify_complex(cplx, internal_cap):
             if dim_here == 0:
                 report.homology[(i, e)] = 0
                 continue
-            r1 = _modular_rank_cached(cache, cplx, i, e)
-            r2 = _modular_rank_cached(cache, cplx, i + 1, e)
+            r1 = _rank_cached(cache, cplx, i, e, True)
+            r2 = _rank_cached(cache, cplx, i + 1, e, True)
             if ok_composite and r1 + r2 == dim_here:
                 report.homology[(i, e)] = 0
                 continue
-            r1 = _exact_rank_cached(cache, cplx, i, e)
-            r2 = _exact_rank_cached(cache, cplx, i + 1, e)
+            r1 = _rank_cached(cache, cplx, i, e, False)
+            r2 = _rank_cached(cache, cplx, i + 1, e, False)
             report.homology[(i, e)] = dim_here - r1 - r2
     return report
 

@@ -94,6 +94,18 @@ def test_degree_cap_enforced():
         pres.component(5)
 
 
+def test_degree_cap_zero_is_a_cap_and_negative_is_refused():
+    pres = QuadraticPresentation.commutative(QQ, ["x", "y"], degree_cap=0)
+    assert pres.degree_cap == 0
+    assert pres.dim(0) == 1
+    with pytest.raises(DegreeCapExceeded):
+        pres.dim(5)
+    with pytest.raises(ValueError):
+        QuadraticPresentation.commutative(QQ, ["x", "y"], degree_cap=-1)
+    default = QuadraticPresentation.commutative(QQ, ["x", "y"])
+    assert default.degree_cap == algebra.DEFAULT_DEGREE_CAP
+
+
 def test_multiply_unit_and_relation(quantum_plane):
     x, y = quantum_plane.generator(0), quantum_plane.generator(1)
     one = quantum_plane.one()

@@ -63,6 +63,9 @@ def test_rank_over_prime_field():
     assert exact_rank(rows, F) == 1
     rows = [[F(1), F(2)], [F(2), F(5)]]  # F(5) == 0
     assert exact_rank(rows, F) == 2
+    # int multiples of p are truthy but zero in F_p
+    assert exact_rank([[5, 10], [15, 0]], F) == 0
+    assert exact_rank([{0: 5, 1: 1}, {0: 10, 1: 2}], F) == 1
 
 
 def test_rowspace_canonical_reduction():
@@ -193,3 +196,88 @@ def test_modular_rank_moves_past_a_clashing_prime(monkeypatch):
     monkeypatch.setattr(exactlinalg, "rank_mod_p", spy)
     assert modular_rank(columns, 2) == 2
     assert tried == list(MODULAR_PRIMES[:2])
+
+
+# ------------------------------------- differential tests of both kernels
+
+RATIONALS = st.one_of(st.integers(-3, 3),
+                      st.builds(Fraction, st.integers(-3, 3),
+                                st.integers(1, 3)))
+
+
+def _residues(p):
+    """Entries for GF(p): ints (multiples of p included) and elements."""
+    return st.one_of(st.integers(-3 * p, 3 * p),
+                     st.integers(0, p - 1).map(GF(p)))
+
+
+@st.composite
+def matrices(draw, values, square=False):
+    m = draw(st.integers(0, 4))
+    n = m if square else draw(st.integers(0, 4))
+    return [[draw(values) for _ in range(n)] for _ in range(m)]
+
+
+def _sparse(rows):
+    """The same rows as dicts; int multiples of p are truthy and stay."""
+    return [{j: v for j, v in enumerate(row) if v} for row in rows]
+
+
+def _transpose(rows):
+    return [list(col) for col in zip(*rows)]
+
+
+def _columns(rows):
+    return _sparse(_transpose(rows))
+
+
+@settings(max_examples=120)
+@given(matrices(RATIONALS))
+def test_exact_rank_over_qq_dense_and_sparse(rows):
+    rank = brute_rank(rows)
+    assert exact_rank(rows, QQ) == rank
+    assert exact_rank(_sparse(rows), QQ) == rank
+    assert exact_rank(_transpose(rows), QQ) == rank
+    assert rank_of_columns(_columns(rows), len(rows), QQ) == rank
+
+
+@settings(max_examples=120)
+@given(st.sampled_from((5, 7)).flatmap(
+    lambda p: st.tuples(st.just(p), matrices(_residues(p)))))
+def test_exact_rank_over_gf_dense_and_sparse(case):
+    p, rows = case
+    field = GF(p)
+    rank = _rowspace_rank(_columns(rows), p)
+    assert exact_rank(rows, field) == rank
+    assert exact_rank(_sparse(rows), field) == rank
+    assert exact_rank(_transpose(rows), field) == rank
+    assert rank_of_columns(_columns(rows), len(rows), field) == rank
+
+
+def _identity(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=100)
+@given(matrices(RATIONALS, square=True))
+def test_invert_matrix_over_qq(rows):
+    inv = invert_matrix(rows, QQ)
+    if brute_rank(rows) < len(rows):
+        assert inv is None
+    else:
+        assert mat_mul([[QQ(v) for v in row] for row in rows], inv,
+                       QQ) == _identity(len(rows))
+
+
+@settings(max_examples=100)
+@given(st.sampled_from((5, 7)).flatmap(
+    lambda p: st.tuples(st.just(p), matrices(_residues(p), square=True))))
+def test_invert_matrix_over_gf(case):
+    p, rows = case
+    field = GF(p)
+    inv = invert_matrix(rows, field)
+    if _rowspace_rank(_columns(rows), p) < len(rows):
+        assert inv is None
+    else:
+        assert mat_mul([[field(v) for v in row] for row in rows], inv,
+                       field) == _identity(len(rows))

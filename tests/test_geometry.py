@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -368,6 +369,32 @@ def test_small_point_scan_is_bounded_in_14_variables(monkeypatch):
     assert len(calls) <= len(ideal.gens) * POINT_BUDGET
     assert all(all(not g.evaluate(pt.coords) for g in ideal.gens)
                for pt in found)
+
+
+def test_small_point_scan_reaches_sparse_points_in_14_variables():
+    # product order would spend the whole budget on vectors starting with
+    # -2, -2, ..., none of which lies on this ideal
+    ring = PolyRing(QQ, [f"x{i}" for i in range(14)])
+    x = ring.gens()
+    ideal = Ideal(ring, [x[0] * x[1] - x[2] * x[2], x[3] * x[4]])
+    found = _small_points_on(ideal, ring, radius=2)
+    assert ProjPoint([0, 0, 0, 1] + [0] * 10, QQ) in found
+    assert all(all(not g.evaluate(pt.coords) for g in ideal.gens)
+               for pt in found)
+
+
+def test_small_point_scan_within_budget_is_the_whole_box_in_order():
+    ring = PolyRing(QQ, ["x", "y", "z"])
+    x, y, z = ring.gens()
+    ideal = Ideal(ring, [x * y - z * z])
+    expected, seen = [], set()
+    for coords in product(range(-2, 3), repeat=3):
+        if any(coords) and coords[0] * coords[1] == coords[2] ** 2:
+            pt = ProjPoint(coords, QQ)
+            if pt not in seen:
+                seen.add(pt)
+                expected.append(pt)
+    assert _small_points_on(ideal, ring, radius=2) == expected
 
 
 def test_semi_standard_witness_scan_is_bounded_in_14_variables(monkeypatch):
