@@ -28,15 +28,24 @@ right step.  Images are flat tuples (index, scalar, ...) in one list per
 letter, equal scalars shared: 1.2 MB for the n = 6 skew algebra and its
 quotient to degree 8, against 6.8 MB as dicts keyed by (u, w).  A product
 walks the words of its shorter factor, through ``step`` or ``left``.
+
+The rank certificates over QQ run in F_p, on ``ResidueTables``: residue
+copies of ``step`` and ``left``, built lazily per presentation, prime and
+degree, in the same flat layout.  The step residues reduce the QQ step
+tables, never the relations (a bad prime can move the pivots of an F_p
+echelon, and with them the normal words), and the left residues follow from
+them by the recurrence above, in ints.  A denominator divisible by p raises
+``PrimeClash`` while a table is built; nothing is stored for that degree.
 """
 
 from __future__ import annotations
 
 import weakref
 
-from .exactlinalg import (RowSpace, add_scaled, columns_to_rows,
-                          invert_matrix, mat_mul, modular_rank, nullspace,
-                          rank_of_columns, solve_batch)
+from .exactlinalg import (ResidueColumns, RowSpace, add_scaled,
+                          columns_to_rows, invert_matrix, mat_mul,
+                          modular_rank, nullspace, over_working_primes,
+                          rank_of_columns, residue, solve_batch)
 from .scalars import QQ, field_descriptor
 
 DEFAULT_DEGREE_CAP = 8
@@ -78,7 +87,7 @@ class QuadraticPresentation:
     """
 
     __slots__ = ("field", "names", "rel_rows", "degree_cap", "_components",
-                 "_rel_space", "_cache", "_pbw", "__weakref__")
+                 "_rel_space", "_cache", "_pbw", "_residues", "__weakref__")
 
     def __new__(cls, field, names, relation_rows, degree_cap=None):
         if degree_cap is None:
@@ -100,6 +109,7 @@ class QuadraticPresentation:
         self._components = {}
         self._cache = {}
         self._pbw = None
+        self._residues = {}
         space = RowSpace(field)
         for r in relation_rows:
             space.add(dict(r))
@@ -303,6 +313,14 @@ class QuadraticPresentation:
             vec = nxt
         return vec
 
+    def residue_tables(self, p):
+        """The tables of this QQ presentation reduced mod p, one
+        ``ResidueTables`` per prime."""
+        tables = self._residues.get(p)
+        if tables is None:
+            tables = self._residues[p] = ResidueTables(self, p)
+        return tables
+
     # ---- presentation-level operations ----------------------------------
 
     def opposite(self):
@@ -388,6 +406,119 @@ def add_flat(out, flat, c=None):
         else:
             out.pop(k, None)
     return out
+
+
+def add_ints(acc, flat, c):
+    """``acc += c * flat`` for a flat image of residues, in ints with no
+    reduction mod p; zero sums stay in ``acc``."""
+    get = acc.get
+    it = iter(flat)
+    for k, v in zip(it, it):
+        acc[k] = get(k, 0) + c * v
+    return acc
+
+
+def residue_sums(terms, dim, p):
+    """The ``ResidueColumns`` mod p of the columns w < dim, column w being
+    the sum of c * images[w], its rows shifted by ``offset``, over the terms
+    (offset, images, c); cells are summed in ints and reduced once."""
+    columns = ResidueColumns(p)
+    for w in range(dim):
+        acc = {}
+        get = acc.get
+        for off, images, c in terms:
+            it = iter(images[w])
+            for t, v in zip(it, it):
+                t += off
+                acc[t] = get(t, 0) + c * v
+        columns.append({t: r for t, v in acc.items() if (r := v % p)})
+    return columns
+
+
+class ResidueTables:
+    """The ``step`` and ``left`` tables of a QQ presentation reduced mod
+    ``p``, built lazily and once per degree: ``step[d][a][i]`` is word i of
+    A_{d-1} times x_a and ``left[d][u][i]`` is x_u times it, each a flat
+    tuple (index, residue, ...) of the nonzero residues."""
+
+    __slots__ = ("presentation", "p", "step", "left")
+
+    def __init__(self, presentation, p):
+        self.presentation = presentation
+        self.p = p
+        self.step = {}
+        self.left = {}
+
+    def _reduced(self, acc, shared):
+        """The flat image of the nonzero residues of the int sums ``acc``,
+        equal residues shared when ``shared`` is a dict."""
+        p = self.p
+        if shared is None:
+            return tuple(x for j, v in acc.items() if (r := v % p)
+                         for x in (j, r))
+        return tuple(x for j, v in acc.items() if (r := v % p)
+                     for x in (j, shared.setdefault(r, r)))
+
+    def _pushed(self, pairs, shared=None):
+        """For each (flat image, table) pair, the image pushed through the
+        table (one flat image per index)."""
+        out = []
+        for flat, table in pairs:
+            acc = {}
+            it = iter(flat)
+            for j, c in zip(it, it):
+                add_ints(acc, table[j], c)
+            out.append(self._reduced(acc, shared))
+        return out
+
+    def step_table(self, d):
+        table = self.step.get(d)
+        if table is None:
+            pres, p = self.presentation, self.p
+            step = pres.component(d).step
+            shared = {}
+            table = [[self._reduced({j: residue(c, p)
+                                     for j, c in step[(i, a)].items()}, shared)
+                      for i in range(pres.dim(d - 1))]
+                     for a in range(pres.n)]
+            self.step[d] = table
+        return table
+
+    def left_table(self, d):
+        table = self.left.get(d)
+        if table is None:
+            pres = self.presentation
+            if d == 1:
+                table = [[(u, 1)] for u in range(pres.n)]
+            else:
+                step = self.step_table(d)
+                prev2 = pres.component(d - 2)
+                split = [(prev2.index[w[:-1]], w[-1])
+                         for w in pres.component(d - 1).words]
+                # x_u * (w' * x_a) = (x_u * w') * x_a
+                shared = {}
+                table = [self._pushed(((low[i], step[a]) for i, a in split),
+                                      shared)
+                         for low in self.left_table(d - 1)]
+            self.left[d] = table
+        return table
+
+    def images(self, word, d, side):
+        """Flat residue images of ``word`` times each basis word of A_d
+        (``side`` "left", a walk through the left tables, last letter
+        first) or of each basis word times ``word`` ("right", through the
+        step tables)."""
+        if not word:
+            return [(w, 1) for w in range(self.presentation.dim(d))]
+        if side == "left":
+            table, letters = self.left_table, word[::-1]
+        else:
+            table, letters = self.step_table, word
+        images = table(d + 1)[letters[0]]
+        for k, letter in enumerate(letters[1:], start=d + 2):
+            op = table(k)[letter]
+            images = self._pushed((flat, op) for flat in images)
+        return images
 
 
 def _rref_component(pres, d, prev, prev2):
@@ -639,8 +770,8 @@ class GradedAutomorphism:
 def is_regular_up_to(f, d_max):
     """Left and right multiplication by f injective on A_i for i <= d_max.
 
-    Modular full rank certifies injectivity over QQ; a modular miss falls
-    back to an exact rational rank.
+    Over QQ a full rank mod p, built from the residue tables, certifies
+    injectivity; a modular miss falls back to an exact rational rank.
     """
     if not f:
         raise ValueError("zero element is never regular")
@@ -654,16 +785,29 @@ def is_regular_up_to(f, d_max):
         dim_tgt = pres.component(i + m).dim
         if dim_tgt < dim_src:
             return False
-        basis = [AlgebraElement(pres, i, {w: pres.field.one})
-                 for w in range(dim_src)]
         for side in ("left", "right"):
+            if pres.field == QQ and over_working_primes(
+                    lambda p: modular_rank(_residue_products(f, i, side, p),
+                                           dim_tgt)) == dim_src:
+                continue
+            basis = [AlgebraElement(pres, i, {w: pres.field.one})
+                     for w in range(dim_src)]
             cols = [(f * b if side == "left" else b * f).coords
                     for b in basis]
-            if pres.field == QQ and modular_rank(cols, dim_tgt) == dim_src:
-                continue
             if rank_of_columns(cols, dim_tgt, pres.field) != dim_src:
                 return False
     return True
+
+
+def _residue_products(f, i, side, p):
+    """The residues mod p of f*w (side "left") or w*f for every basis word
+    w of A_i, as columns."""
+    pres = f.presentation
+    tables = pres.residue_tables(p)
+    words = pres.component(f.degree).words
+    terms = [(0, tables.images(words[k], i, side), r)
+             for k, c in f.coords.items() if (r := residue(c, p))]
+    return residue_sums(terms, pres.dim(i), p)
 
 
 class NormalityUndecided:

@@ -4,10 +4,22 @@ and two elimination kernels on sparse rows, one per kind of field.
 - ``RowSpace``, a reduced row echelon form over any field, does every
   rational rank, nullspaces, batched solves and inverses.
 - A mod-p echelon in Python integers does every rank over F_p: the exact
-  ranks over GF(p) and ``rank_mod_p``, which reduces a rational matrix mod
-  p.  Such a rank is a certified LOWER bound for the rank over QQ; callers
+  ranks over GF(p) and ``modular_rank``, the rank certificates over QQ.
+  Such a rank is a certified LOWER bound for the rank over QQ; callers
   combine these bounds into exact certificates and fall back to rational
   elimination when the certificate does not close.
+
+The certificates of the package are built in F_p from the start: the
+algebra reduces its multiplication tables mod p once per prime and the
+callers hand ``modular_rank`` ``ResidueColumns``, which it eliminates as
+they are.  Rational columns are still accepted and reduced cell by cell.
+``over_working_primes`` is the one loop over ``MODULAR_PRIMES``: a
+denominator divisible by the prime raises ``PrimeClash`` and moves to the
+next one, and when every prime clashes there is no certificate, so the
+rational ranks decide.  Reduction mod p is a ring map on p-integral
+rationals, so residues built from reduced tables equal the residues of the
+rational matrices (the modular method of von zur Gathen and Gerhard,
+*Modern Computer Algebra*, ch. 5).
 
 The mod-p kernel eliminates the sparse rows shortest first.  The matrices
 of algebras with monomial or binomial relations (the skew and commutative
@@ -194,7 +206,9 @@ class PrimeClash(Exception):
     """A denominator was divisible by the working prime."""
 
 
-def _residue(value, p):
+def residue(value, p):
+    """The residue mod p of an int or a p-integral Fraction; raises
+    PrimeClash when the denominator is divisible by p."""
     if isinstance(value, Fraction):
         den = value.denominator
         if den == 1:
@@ -204,6 +218,28 @@ def _residue(value, p):
             raise PrimeClash
         return value.numerator * pow(den, -1, p) % p
     return int(value) % p
+
+
+def over_working_primes(attempt):
+    """``attempt(p)`` for the first of ``MODULAR_PRIMES`` at which it raises
+    no PrimeClash; None, no certificate, when every prime clashes."""
+    for p in MODULAR_PRIMES:
+        try:
+            return attempt(p)
+        except PrimeClash:
+            continue
+    return None
+
+
+class ResidueColumns(list):
+    """Sparse columns {row: nonzero residue} of a matrix already reduced
+    mod ``prime``."""
+
+    __slots__ = ("prime",)
+
+    def __init__(self, prime, columns=()):
+        super().__init__(columns)
+        self.prime = prime
 
 
 def _echelon_rank(rows, p):
@@ -239,24 +275,25 @@ def rank_mod_p(columns, nrows, p):
     rows = [{} for _ in range(nrows)]
     for j, col in enumerate(columns):
         for i, v in col.items():
-            r = _residue(v, p)
+            r = residue(v, p)
             if r:
                 rows[i][j] = r
     return _echelon_rank(rows, p)
 
 
 def modular_rank(columns, nrows):
-    """Rank over some good prime, cycling on denominator clashes.
+    """Rank of a sparse-column matrix over a working prime: a lower bound
+    for its rank over QQ, which the certificates in the verifiers close.
 
-    The result is always a lower bound for the rank over QQ; equality is
-    what the certificates in the verifiers establish.
+    ``ResidueColumns`` are eliminated over their own prime, as the rows of
+    the transpose (like ``rank_of_columns``).  Rational columns are reduced
+    at the first prime that clashes with no denominator; when every prime
+    clashes the answer is 0, the lower bound that certifies nothing.
     """
-    for p in MODULAR_PRIMES:
-        try:
-            return rank_mod_p(columns, nrows, p)
-        except PrimeClash:
-            continue
-    raise RuntimeError("all working primes clashed with a denominator")
+    if isinstance(columns, ResidueColumns):
+        return _echelon_rank([dict(c) for c in columns], columns.prime)
+    rank = over_working_primes(lambda p: rank_mod_p(columns, nrows, p))
+    return 0 if rank is None else rank
 
 
 def rank_of_columns(columns, nrows, field=QQ):

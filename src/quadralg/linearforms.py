@@ -61,10 +61,11 @@ def geometry_ring(presentation):
 class LinearFormMatrix:
     """Matrix over the degree-1 part of the polynomial ring."""
 
-    __slots__ = ("ring", "rows", "shape")
+    __slots__ = ("ring", "rows", "shape", "_minors")
 
     def __init__(self, ring, rows):
         self.ring = ring
+        self._minors = {}  # t -> the list ``minors(t)`` returns a copy of
         self.rows = tuple(tuple(tuple(ring.field(c) for c in entry)
                                 for entry in row) for row in rows)
         if any(len(e) != ring.nvars for row in self.rows for e in row):
@@ -102,14 +103,20 @@ class LinearFormMatrix:
         occurrence, then stably sorted by leading monomial.  Empty when t
         exceeds min(shape): the locus is all of projective space.
 
-        Laplace expansion along rows, memoized per row set.  Each row is
-        scaled by the positive integer clearing its denominators (residues
-        over GF(p)), which changes no normalized minor, and a monomial is
-        one int in base t + 1, so x_i * m is m + (t + 1)**i.
+        Computed once per matrix and t.  Laplace expansion along rows,
+        memoized per row set.  Each row is scaled by the positive integer
+        clearing its denominators (residues over GF(p)), which changes no
+        normalized minor, and a monomial is one int in base t + 1, so
+        x_i * m is m + (t + 1)**i.
         """
-        s, r = self.shape
         if t < 1:
             raise ValueError("t must be >= 1")
+        if t not in self._minors:
+            self._minors[t] = self._expand_minors(t)
+        return list(self._minors[t])
+
+    def _expand_minors(self, t):
+        s, r = self.shape
         if t > min(s, r):
             return []
         ring = self.ring

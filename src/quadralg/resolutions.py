@@ -9,15 +9,20 @@ opposite algebra, transposed at the geometric boundary.
 Exactness at truncation is certified exactly: composite-zero symbolically
 over the algebra, then rank counting where a full modular rank sum closes
 the certificate over QQ and any miss falls back to rational elimination.
+The certificate matrices are built in F_p from the algebra's residue tables
+(``FreeModuleMap.residue_columns``); the rational ``degree_columns`` serve
+the nullspaces, the lifts and the fallback.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebra import AlgebraElement, GradedAutomorphism, add_flat
-from .exactlinalg import (add_scaled, columns_to_rows, modular_rank,
-                          nullspace, rank_of_columns, solve_batch)
+from .algebra import (AlgebraElement, GradedAutomorphism, add_flat,
+                      residue_sums)
+from .exactlinalg import (ResidueColumns, add_scaled, columns_to_rows,
+                          modular_rank, nullspace, over_working_primes,
+                          rank_of_columns, residue, solve_batch)
 from .linearforms import LinearFormMatrix, geometry_ring
 from .scalars import QQ
 
@@ -201,6 +206,33 @@ class FreeModuleMap:
                 labels.append((j, w))
         return columns, total_rows, labels
 
+    def residue_columns(self, e, p):
+        """``degree_columns(e)`` reduced mod p, built from the residue tables
+        of the QQ algebra: (``ResidueColumns``, nrows), with the same rows
+        and columns.  Each entry's coordinates are reduced once; raises
+        PrimeClash."""
+        pres = self.presentation
+        tables = pres.residue_tables(p)
+        row_offsets, total_rows = self.row_offsets(e)
+        columns = ResidueColumns(p)
+        for j, s in enumerate(self.source_shifts):
+            d = e - s
+            dim = pres.dim(d) if d >= 0 else 0
+            if not dim:
+                continue
+            terms = []
+            for k, row in enumerate(self.entries):
+                ent = row[j]
+                if ent:
+                    words = pres.component(ent.degree).words
+                    terms.extend(
+                        (row_offsets[k], tables.images(words[i], d, "left"),
+                         r)
+                        for i, c in ent.coords.items()
+                        if (r := residue(c, p)))
+            columns.extend(residue_sums(terms, dim, p))
+        return columns, total_rows
+
     def to_linear_form_matrix(self, ring=None):
         """View as a matrix of degree-1 forms (entries must be linear or 0)."""
         pres = self.presentation
@@ -285,13 +317,14 @@ class FreeComplex:
     module (right side; left-side complexes live over the opposite algebra
     and transpose at the geometric boundary)."""
 
-    __slots__ = ("presentation", "side", "maps", "meta")
+    __slots__ = ("presentation", "side", "maps", "meta", "_geometric")
 
     def __init__(self, presentation, side, maps, meta=None):
         self.presentation = presentation
         self.side = side
         self.maps = list(maps)
         self.meta = dict(meta or {})
+        self._geometric = {}  # i -> (ring, matrix of geometric_matrix(i))
         prev = None
         for d in self.maps:
             if d.presentation is not presentation:
@@ -327,9 +360,16 @@ class FreeComplex:
                         self.shifts(i))
 
     def geometric_matrix(self, i, ring=None):
-        """d_i (right) or h_i (left: the transposed matrix of forms)."""
-        m = self.maps[i - 1].to_linear_form_matrix(ring)
-        return m.transpose() if self.side == "left" else m
+        """d_i (right) or h_i (left: the transposed matrix of forms), one
+        object per i and ring, so that its minors are computed once."""
+        fmap = self.maps[i - 1]
+        ring = ring or geometry_ring(fmap.presentation)
+        hit = self._geometric.get(i)
+        if hit is None or hit[0] is not ring:
+            m = fmap.to_linear_form_matrix(ring)
+            hit = self._geometric[i] = (
+                ring, m.transpose() if self.side == "left" else m)
+        return hit[1]
 
     def truncated(self, length):
         if length >= self.length:
@@ -350,16 +390,23 @@ def _rank_cached(cache, cplx, i, e, certified):
     """Rank of d_i in internal degree e, memoized per (i, e, certified).
 
     ``certified`` asks for the mod-p lower bound that the certificates sum
-    over QQ; over a prime field the exact rank is already the cheap one, so
-    both requests share it.
+    over QQ; when every working prime clashes with a denominator it is the
+    exact rank.  Over a prime field the exact rank is already the cheap
+    one, so both requests share it.
     """
     field = cplx.presentation.field
     certified = certified and field == QQ
     key = (i, e, certified)
     if key not in cache:
-        cols, nrows, _ = cplx.maps[i - 1].degree_columns(e)
-        cache[key] = (modular_rank(cols, nrows) if certified
-                      else rank_of_columns(cols, nrows, field))
+        fmap = cplx.maps[i - 1]
+        if certified:
+            rank = over_working_primes(
+                lambda p: modular_rank(*fmap.residue_columns(e, p)))
+            cache[key] = (_rank_cached(cache, cplx, i, e, False)
+                          if rank is None else rank)
+        else:
+            cols, nrows, _ = fmap.degree_columns(e)
+            cache[key] = rank_of_columns(cols, nrows, field)
     return cache[key]
 
 

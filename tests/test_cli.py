@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 import quadralg
 from quadralg.algebra import QuadraticPresentation
 from quadralg.cli import main
+from quadralg.exactlinalg import MODULAR_PRIMES
 from quadralg.parsing import ParseError, parse_presentation_text
 
 QPLANE = """field QQ
@@ -121,6 +122,23 @@ def test_resolve_and_determinism(workdir):
     doc = load("r1.json")
     assert doc["results"]["right"]["ranks"] == [1, 2, 1, 0]
     assert doc["results"]["right"]["verification"]["exact"] is True
+
+
+def test_resolve_when_every_working_prime_clashes(workdir, capsys):
+    """A coefficient 1/N, N the product of the working primes, leaves no
+    modular certificate: the rational ranks decide, and the input is valid."""
+    n = 1
+    for p in MODULAR_PRIMES:
+        n *= p
+    (workdir / "clash.pres").write_text(
+        f"field QQ\nvars x, y\nskew\n1 1/{n}\n{n} 1\n")
+    code = run(["resolve", "clash.pres", "-L", "3",
+                "--json-out", "clash.json"])
+    assert code == 0, capsys.readouterr().err
+    doc = load("clash.json")
+    for side in ("right", "left"):
+        assert doc["results"][side]["ranks"] == [1, 2, 1, 0]
+        assert doc["results"][side]["verification"]["exact"] is True
 
 
 def test_shamash_subcommand(workdir):

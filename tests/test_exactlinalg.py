@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quadralg import exactlinalg
-from quadralg.exactlinalg import (MODULAR_PRIMES, PrimeClash, RowSpace,
-                                  exact_rank, invert_matrix, mat_mul,
-                                  modular_rank, nullspace, rank_mod_p,
-                                  rank_of_columns, solve_batch)
+from quadralg.exactlinalg import (MODULAR_PRIMES, PrimeClash, ResidueColumns,
+                                  RowSpace, exact_rank, invert_matrix,
+                                  mat_mul, modular_rank, nullspace,
+                                  rank_mod_p, rank_of_columns, solve_batch)
 from quadralg.scalars import QQ, GF
 
 
@@ -196,6 +196,24 @@ def test_modular_rank_moves_past_a_clashing_prime(monkeypatch):
     monkeypatch.setattr(exactlinalg, "rank_mod_p", spy)
     assert modular_rank(columns, 2) == 2
     assert tried == list(MODULAR_PRIMES[:2])
+
+
+def test_modular_rank_certifies_nothing_when_every_prime_clashes():
+    n = 1
+    for p in MODULAR_PRIMES:
+        n *= p
+    columns = [{0: Fraction(1, n)}, {1: Fraction(1)}]
+    assert modular_rank(columns, 2) == 0
+    assert rank_of_columns(columns, 2, QQ) == 2
+
+
+def test_modular_rank_of_residue_columns_uses_their_prime():
+    p = 7
+    columns = ResidueColumns(p, [{0: 1, 1: 2}, {0: 3, 1: 6}, {2: 5}])
+    assert modular_rank(columns, 3) == 2
+    assert columns == [{0: 1, 1: 2}, {0: 3, 1: 6}, {2: 5}]  # not consumed
+    assert modular_rank(ResidueColumns(5, [{0: 1, 1: 2}, {0: 3, 1: 1}]),
+                        2) == 1
 
 
 # ------------------------------------- differential tests of both kernels

@@ -6,7 +6,7 @@ import pytest
 
 from quadralg.algebra import (AlgebraElement, GradedAutomorphism,
                               QuadraticPresentation)
-from quadralg.exactlinalg import exact_rank
+from quadralg.exactlinalg import MODULAR_PRIMES, exact_rank, residue
 from quadralg.resolutions import (FreeComplex, FreeModuleMap,
                                   NonlinearKernelError, geometry_ring,
                                   linear_resolution, scalar_chain_isomorphism,
@@ -184,10 +184,20 @@ def reference_degree_columns(fmap, e):
 
 def assert_columns_match(fmap, top):
     """Columns, row count and labels agree in every internal degree whose
-    products stay within A_top."""
+    products stay within A_top, and over QQ the residue columns are the
+    residues of the rational ones at both first working primes."""
     low = min(fmap.target_shifts, default=0)
     for e in range(0, top + low + 1):
-        assert fmap.degree_columns(e) == reference_degree_columns(fmap, e)
+        columns, nrows, labels = fmap.degree_columns(e)
+        assert (columns, nrows, labels) == reference_degree_columns(fmap, e)
+        if fmap.presentation.field != QQ:
+            continue
+        for p in MODULAR_PRIMES[:2]:
+            got, got_rows = fmap.residue_columns(e, p)
+            assert got.prime == p and got_rows == nrows
+            assert list(got) == [{i: r for i, v in col.items()
+                                  if (r := residue(v, p))}
+                                 for col in columns]
 
 
 @pytest.mark.parametrize("name", ["quantum_plane", "sec5_algebra",
