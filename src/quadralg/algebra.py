@@ -427,7 +427,12 @@ def residue_sums(terms, dim, p):
         acc = {}
         get = acc.get
         for off, images, c in terms:
-            it = iter(images[w])
+            flat = images[w]
+            if len(flat) == 2:  # most images are one word
+                t = flat[0] + off
+                acc[t] = get(t, 0) + c * flat[1]
+                continue
+            it = iter(flat)
             for t, v in zip(it, it):
                 t += off
                 acc[t] = get(t, 0) + c * v
@@ -464,6 +469,9 @@ class ResidueTables:
         table (one flat image per index)."""
         out = []
         for flat, table in pairs:
+            if len(flat) == 2 and flat[1] == 1:  # one word: its image as is
+                out.append(table[flat[0]])
+                continue
             acc = {}
             it = iter(flat)
             for j, c in zip(it, it):
@@ -477,8 +485,9 @@ class ResidueTables:
             pres, p = self.presentation, self.p
             step = pres.component(d).step
             shared = {}
-            table = [[self._reduced({j: residue(c, p)
-                                     for j, c in step[(i, a)].items()}, shared)
+            table = [[tuple(x for j, c in step[(i, a)].items()
+                            if (r := residue(c, p))
+                            for x in (j, shared.setdefault(r, r)))
                       for i in range(pres.dim(d - 1))]
                      for a in range(pres.n)]
             self.step[d] = table

@@ -324,7 +324,7 @@ class FreeComplex:
         self.side = side
         self.maps = list(maps)
         self.meta = dict(meta or {})
-        self._geometric = {}  # i -> (ring, matrix of geometric_matrix(i))
+        self._geometric = None  # (ring, the matrix of d_2 or h_2)
         prev = None
         for d in self.maps:
             if d.presentation is not presentation:
@@ -360,16 +360,23 @@ class FreeComplex:
                         self.shifts(i))
 
     def geometric_matrix(self, i, ring=None):
-        """d_i (right) or h_i (left: the transposed matrix of forms), one
-        object per i and ring, so that its minors are computed once."""
+        """d_i (right) or h_i (left: the transposed matrix of forms).
+
+        The matrix of d_2, whose minors every geometric check reads (the
+        point variety and its rank loci), is one object per ring, so that
+        they are computed once; the others are built afresh, and their
+        minors are not kept.
+        """
         fmap = self.maps[i - 1]
         ring = ring or geometry_ring(fmap.presentation)
-        hit = self._geometric.get(i)
-        if hit is None or hit[0] is not ring:
-            m = fmap.to_linear_form_matrix(ring)
-            hit = self._geometric[i] = (
-                ring, m.transpose() if self.side == "left" else m)
-        return hit[1]
+        if i == 2 and self._geometric and self._geometric[0] is ring:
+            return self._geometric[1]
+        m = fmap.to_linear_form_matrix(ring)
+        if self.side == "left":
+            m = m.transpose()
+        if i == 2:
+            self._geometric = (ring, m)
+        return m
 
     def truncated(self, length):
         if length >= self.length:
