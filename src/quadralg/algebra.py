@@ -444,7 +444,9 @@ class ResidueTables:
     """The ``step`` and ``left`` tables of a QQ presentation reduced mod
     ``p``, built lazily and once per degree: ``step[d][a][i]`` is word i of
     A_{d-1} times x_a and ``left[d][u][i]`` is x_u times it, each a flat
-    tuple (index, residue, ...) of the nonzero residues."""
+    tuple (index, residue, ...) of the nonzero residues.  Equal residues
+    are one object per table, and a left image that is one step image is
+    that tuple itself."""
 
     __slots__ = ("presentation", "p", "step", "left")
 

@@ -412,3 +412,34 @@ def test_semi_standard_witness_scan_is_bounded_in_14_variables(monkeypatch):
     calls.clear()
     assert _semi_standard_witness(pres, left, left) is None
     assert len(calls) <= 2 * POINT_BUDGET
+
+
+def test_minors_are_expanded_once_per_matrix_and_size(negative_control,
+                                                      monkeypatch):
+    """The checks of one pair of resolutions share d_2's minors: the
+    point variety's n-minors are asked for by every check, and the
+    (n-1)-minors by (G1) and by point-exactness in degree 2."""
+    from quadralg.linearforms import LinearFormMatrix
+    res = {side: linear_resolution(negative_control, side, 4,
+                                   check="report")
+           for side in ("right", "left")}
+    asked, expanded = [], []
+    minors, expand = LinearFormMatrix.minors, LinearFormMatrix._expand_minors
+
+    def ask(self, t):
+        asked.append((id(self), t))
+        return minors(self, t)
+
+    def count(self, t):
+        expanded.append((id(self), t))
+        return expand(self, t)
+
+    monkeypatch.setattr(LinearFormMatrix, "minors", ask)
+    monkeypatch.setattr(LinearFormMatrix, "_expand_minors", count)
+    is_semi_standard(negative_control, res)
+    check_g1(negative_control, res)
+    for side in ("right", "left"):
+        check_point_exact(negative_control, side, 2, res)
+    assert len(expanded) == len(set(expanded))
+    assert set(expanded) == set(asked)
+    assert len(asked) > len(expanded)
