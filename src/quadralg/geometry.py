@@ -4,10 +4,15 @@ The right/left point varieties are the vanishing loci of the n-minors of the
 second differentials; semi-standardness compares them, the (G1) condition
 adds point-exactness at degree 1 and produces the geometric pair (E, sigma)
 with sigma evaluated pointwise through the relation pairing.  Point-exactness
-at higher degrees is decided ideal-theoretically: minors of the i-th
-differential against the radical of the variety ideal (rank upper bound) and
-projective emptiness of the dropped-rank locus (lower bound).  Sampling is
-only ever a pre-filter whose negative answers are conclusive witnesses.
+at higher degrees is decided ideal-theoretically.  The rank lower bound is
+projective emptiness of the dropped-rank locus.  Under (G1) the rank upper
+bound at degree i follows from the lower bound at degree i - 1 through the
+twisted composite identity M_{i-1}(p)·M_i(sigma(p)) = 0 (right; the left
+side multiplies the other way round), once an exact rank shows that the
+composite's entries lie in the span of the relations; otherwise the
+(rho + 1)-minors of the i-th differential are tested against the radical of
+the variety ideal.  Sampling is only ever a pre-filter whose negative
+answers are conclusive witnesses.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations, islice, product
 
-from .exactlinalg import exact_rank, nullspace
+from .exactlinalg import add_scaled, exact_rank, nullspace
 from .groebner import Ideal, RadicalTester, projective_empty, variety_equal
 from .linearforms import LinearFormMatrix, ProjPoint, geometry_ring
 from .resolutions import linear_resolution
@@ -189,6 +194,9 @@ class DegreeEvidence:
     lower_ok: bool = True
     lower_vacuous: bool = False
     witness: object = None
+    # what decided the upper bound: "identity", "minors", "sample" (a
+    # witness) or "empty" (rho < 0); not serialized
+    upper_by: str = None
 
     @property
     def ok(self):
@@ -248,17 +256,77 @@ def _small_points_on(ideal, ring, radius=1):
     return found
 
 
+def _upper_by_minors(tester, mat, rho):
+    """The first (rho + 1)-minor of ``mat`` outside the radical of the
+    tester's ideal, or None when every one lies in it."""
+    for minor in mat.minors(rho + 1):
+        if not tester.contains(minor):
+            return minor
+    return None
+
+
+def _product_in_relations(presentation, first, second):
+    """Every entry of ``first``·``second``, read as the bilinear form
+    sum_k first[l][k](x) * second[k][j](y), lies in the span of the
+    relation forms: the rows ``rel_rows`` (``relation_matrices()``
+    flattened to n^2 vectors, a basis of R) keep their rank when the
+    entries are added."""
+    n = presentation.n
+    rows = list(presentation.rel_rows)
+    for frow in first.rows:
+        for j in range(second.shape[1]):
+            vec = {}
+            for a, brow in zip(frow, second.rows):
+                add_scaled(vec, {u * n + v: c * w
+                                 for u, c in enumerate(a) if c
+                                 for v, w in enumerate(brow[j]) if w})
+            rows.append(vec)
+    return exact_rank(rows, presentation.field) == presentation.r
+
+
 def check_point_exact(presentation, side, max_degree, resolutions=None,
                       sample_prefilter=False, seed=None):
     """Decide rank (d_i)_p = rho_i for all p on the point variety, for
     1 <= i <= max_degree + 1.
 
-    Upper bound: every (rho_i + 1)-minor lies in the radical of the variety
-    ideal.  Lower bound: the variety meets the rho_i-minor locus in the
-    empty set (vacuous when rho_i = 0).  When ``sample_prefilter`` is set,
-    small rational points are scanned first; a rank mismatch there is a
-    conclusive negative with witness.  ``seed`` only shuffles the scan
-    order, never a verdict.
+    Lower bound: the variety meets the rho_i-minor locus in the empty set
+    (vacuous when rho_i = 0).  Upper bound at degree i >= 2: the twisted
+    composite identity below, when it applies; otherwise (no (G1), a
+    failed span check, an undecided lower bound at degree i - 1) every
+    (rho_i + 1)-minor lies in the radical of the variety ideal.  Both
+    decide rank <= rho_i at every point of E over the algebraic closure.
+    When ``sample_prefilter`` is set, small rational points are scanned
+    first; a rank mismatch there is a conclusive negative with witness.
+    ``seed`` only shuffles the scan order, never a verdict.
+
+    The identity.  Let a^k be ``relation_matrices()``, f_k(x, y) =
+    sum a^k_uv x_u y_v, and V(R) their common zeros in P x P.  Column k
+    of the right M_2 is (f_k(e_u, y))_u up to a scalar and row k of the
+    left M_2 is (f_k(x, e_v))_v, so the right variety is pr_2 V(R) and the
+    left one pr_1 V(R).  When ``check_g1`` holds they are one E (equal
+    radicals), and both M_2's have rank n - 1 at every point of E.  So
+    for p in E the nullvector sigma(p) of the rows f_k(p, .)
+    (``sigma_at``) is the only q with (p, q) in V(R), and it lies in
+    pr_2 V(R) = E; for q in E the rank n - 1 of the right M_2(q) gives
+    exactly one p with (p, q) in V(R), which lies in pr_1 V(R) = E and has
+    sigma(p) = q.  Thus sigma is a bijection of E over the algebraic
+    closure.
+
+    Let M_i be this side's matrices, s_i the ranks of the free modules,
+    and C = M_{i-1}·M_i on the right (s_{i-2} x s_i) and M_i·M_{i-1} on
+    the left (s_i x s_{i-2}), each entry read as a bilinear form with x
+    from the first factor and y from the second.  When every entry lies
+    in the span of the f_k (checked exactly, ``_product_in_relations``),
+    C(p, sigma(p)) = 0 for p in E.  With rho_i = s_{i-1} - rho_{i-1} and
+    the lower bound rank M_{i-1} >= rho_{i-1} decided on E at degree
+    i - 1:
+    - right: M_{i-1}(p)·M_i(sigma(p)) = 0, so rank M_i(sigma(p)) <=
+      s_{i-1} - rank M_{i-1}(p) <= rho_i, and as sigma maps E onto E this
+      bounds M_i on all of E;
+    - left: M_i(p)·M_{i-1}(sigma(p)) = 0, so rank M_i(p) <= s_{i-1} -
+      rank M_{i-1}(sigma(p)) <= rho_i, which needs only sigma(E) in E.
+    For (E, sigma) see M. Artin, J. Tate, M. Van den Bergh, *Some algebras
+    associated to automorphisms of elliptic curves* (1990).
     """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
@@ -280,6 +348,8 @@ def check_point_exact(presentation, side, max_degree, resolutions=None,
     if sample and seed is not None:
         import random as _random
         _random.Random(seed).shuffle(sample)
+    g1 = None            # check_g1 holds; decided when first needed
+    prev = None          # M_{i-1} when its lower bound was decided true
     for i in range(1, max_degree + 2):
         rho = 0
         for j in range(1, i + 1):
@@ -287,33 +357,44 @@ def check_point_exact(presentation, side, max_degree, resolutions=None,
         mat = res.geometric_matrix(i, ring)
         ev = DegreeEvidence(degree=i, rho=rho, shape=mat.shape,
                             upper_ok=True)
+        report.evidence.append(ev)
         if rho < 0:
             # no matrix has negative rank: only an empty variety survives
             ev.upper_ok = projective_empty(variety.ideal)
-            ev.lower_ok = True
+            ev.upper_by = "empty"
             ev.lower_vacuous = True
-            report.evidence.append(ev)
+            prev = None
             continue
         for pt in sample:
-            if mat.rank_at(pt) != rho:
+            rank = mat.rank_at(pt)
+            if rank != rho:
                 ev.witness = pt
-                if exact_rank(mat.eval_at(pt), ring.field) > rho:
+                ev.upper_by = "sample"
+                if rank > rho:
                     ev.upper_ok = False
                 else:
                     ev.lower_ok = False
                 break
-        if ev.witness is None:
-            for minor in mat.minors(rho + 1):
-                if not tester.contains(minor):
-                    ev.upper_ok = False
-                    ev.upper_failures.append(minor)
-                    break
-            if rho == 0:
-                ev.lower_ok = True
-                ev.lower_vacuous = True
-            else:
-                ev.lower_ok = _rank_exactly_one_less(variety, mat, rho)
-        report.evidence.append(ev)
+        if ev.witness is not None:
+            prev = None
+            continue
+        if prev is not None and g1 is None:
+            g1 = check_g1(presentation, resolutions) is not None
+        if prev is not None and g1 and _product_in_relations(
+                presentation, *((prev, mat) if side == "right"
+                                else (mat, prev))):
+            ev.upper_by = "identity"
+        else:
+            ev.upper_by = "minors"
+            failure = _upper_by_minors(tester, mat, rho)
+            if failure is not None:
+                ev.upper_ok = False
+                ev.upper_failures.append(failure)
+        if rho == 0:
+            ev.lower_vacuous = True
+        else:
+            ev.lower_ok = _rank_exactly_one_less(variety, mat, rho)
+        prev = mat if ev.lower_ok else None
     return report
 
 

@@ -342,9 +342,7 @@ def groebner(polys_or_ideal, order=None):
     polys = [p for p in polys_or_ideal if p]
     if not polys:
         raise ValueError("need at least one polynomial (or use an Ideal)")
-    ring = polys[0].ring
-    order = order or ring.order
-    return _groebner_of(ring, polys, order)
+    return Ideal(polys[0].ring, polys).groebner(order)
 
 
 def _groebner_of(ring, polys, order):
@@ -358,9 +356,14 @@ def _groebner_of(ring, polys, order):
 
 
 class Ideal:
-    """An ideal given by generators, with cached reduced Groebner bases."""
+    """An ideal given by generators.
 
-    __slots__ = ("ring", "gens", "_gb_cache")
+    Its reduced Groebner bases live in the ring's ``gb_memo``, keyed by the
+    order and the set of generators, so every ``Ideal`` with the same
+    generators in the same ring shares them.
+    """
+
+    __slots__ = ("ring", "gens")
 
     def __init__(self, ring, gens):
         self.ring = ring
@@ -371,14 +374,15 @@ class Ideal:
             if g:
                 cleaned.append(g)
         self.gens = tuple(cleaned)
-        self._gb_cache = {}
 
     def is_zero_ideal(self):
         return not self.gens
 
     def groebner(self, order=None):
         order = order or self.ring.order
-        cached = self._gb_cache.get(order.name)
+        key = (order.name, frozenset(self.gens))
+        memo = self.ring.gb_memo
+        cached = memo.get(key)
         if cached is None:
             if not self.gens:
                 cached = GroebnerBasis(self.ring, order, [],
@@ -386,7 +390,7 @@ class Ideal:
                                        else self.ring.field.p)
             else:
                 cached = _groebner_of(self.ring, list(self.gens), order)
-            self._gb_cache[order.name] = cached
+            memo[key] = cached
         return cached
 
     def __add__(self, other):
@@ -441,9 +445,8 @@ class RadicalTester:
             return True
         ok = radical_member(f, self.ideal, _gb=self._gb)
         if ok:
-            self._gb = _groebner_of(self.ideal.ring,
-                                    list(self._gb.polys) + [f],
-                                    self._gb.order)
+            self._gb = Ideal(self.ideal.ring, self._gb.polys + [f]).groebner(
+                self._gb.order)
         return ok
 
 

@@ -74,7 +74,7 @@ def order_from_name(name):
 class PolyRing:
     """k[x_1, ..., x_n] with a fixed monomial order."""
 
-    __slots__ = ("field", "names", "order", "_zero_exps")
+    __slots__ = ("field", "names", "order", "_zero_exps", "gb_memo")
 
     def __init__(self, field, names, order=DEGREVLEX):
         names = tuple(names)
@@ -84,6 +84,9 @@ class PolyRing:
         self.names = names
         self.order = order
         self._zero_exps = (0,) * len(names)
+        # reduced Groebner bases of ideals of this ring, by (order name,
+        # frozenset of generators); filled by groebner.Ideal.groebner
+        self.gb_memo = {}
 
     @property
     def nvars(self):

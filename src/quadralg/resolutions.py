@@ -92,13 +92,13 @@ class FreeModuleMap:
             row = []
             for j in range(other.ncols):
                 deg = other.source_shifts[j] - self.target_shifts[k]
-                acc = AlgebraElement(pres, max(deg, 0), {})
+                acc = {}
                 for t in range(self.ncols):
                     a = self.entries[k][t]
                     b = other.entries[t][j]
                     if a and b:
-                        acc = acc + a * b
-                row.append(acc)
+                        add_scaled(acc, (a * b).coords)
+                row.append(AlgebraElement(pres, max(deg, 0), acc))
             out.append(row)
         return FreeModuleMap(pres, self.target_shifts, other.source_shifts,
                              out)

@@ -426,12 +426,14 @@ def test_minors_are_expanded_once_per_matrix_and_size(negative_control,
     asked, expanded = [], []
     minors, expand = LinearFormMatrix.minors, LinearFormMatrix._expand_minors
 
+    # the matrices themselves, not their ids: a matrix that is not kept
+    # is freed, and a later one may reuse its id
     def ask(self, t):
-        asked.append((id(self), t))
+        asked.append((self, t))
         return minors(self, t)
 
     def count(self, t):
-        expanded.append((id(self), t))
+        expanded.append((self, t))
         return expand(self, t)
 
     monkeypatch.setattr(LinearFormMatrix, "minors", ask)
