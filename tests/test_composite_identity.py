@@ -168,6 +168,26 @@ def test_upper_by_reads_sample_and_empty():
     assert rep.failed_degrees() == [3, 4]
 
 
+def test_identity_needs_the_lower_bound_one_degree_down(monkeypatch,
+                                                       quantum_plane):
+    """A lower bound that fails at degree 2 sends degree 3 to the minors."""
+    from quadralg import geometry
+    pair = check_g1(quantum_plane)
+    real, calls = geometry._rank_exactly_one_less, []
+
+    def fail_at_degree_2(variety, mat, rho):
+        calls.append(mat.shape)
+        return len(calls) != 2 and real(variety, mat, rho)
+
+    # (G1) is decided before the patch, so only the degree loop calls it
+    monkeypatch.setattr(geometry, "check_g1", lambda *args: pair)
+    monkeypatch.setattr(geometry, "_rank_exactly_one_less", fail_at_degree_2)
+    rep = check_point_exact(quantum_plane, "right", 2)
+    assert [ev.upper_by for ev in rep.evidence] == [
+        "minors", "identity", "minors"]
+    assert rep.failed_degrees() == [2]
+
+
 def test_span_check_reads_the_product_order(quantum_plane):
     ring = geometry_ring(quantum_plane)
     res = linear_resolution(quantum_plane, "right", 2, check="report")
