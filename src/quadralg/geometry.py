@@ -300,10 +300,10 @@ def check_point_exact(presentation, side, max_degree, resolutions=None,
     ``seed`` only shuffles the scan order, never a verdict.
 
     The identity.  Let a^k be ``relation_matrices()``, f_k(x, y) =
-    sum a^k_uv x_u y_v, and V(R) their common zeros in P x P.  Column k
-    of the right M_2 is (f_k(e_u, y))_u up to a scalar and row k of the
-    left M_2 is (f_k(x, e_v))_v, so the right variety is pr_2 V(R) and the
-    left one pr_1 V(R).  When ``check_g1`` holds they are one E (equal
+    sum a^k_uv x_u y_v, and V(R) their common zeros in P x P.  The columns
+    of the right M_2 are (f(e_u, y))_u and the rows of the left M_2 are
+    (f(x, e_v))_v, for f running through a basis of R, so the right
+    variety is pr_2 V(R) and the left one pr_1 V(R).  When ``check_g1`` holds they are one E (equal
     radicals), and both M_2's have rank n - 1 at every point of E.  So
     for p in E the nullvector sigma(p) of the rows f_k(p, .)
     (``sigma_at``) is the only q with (p, q) in V(R), and it lies in
