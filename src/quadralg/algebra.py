@@ -43,10 +43,9 @@ from __future__ import annotations
 import weakref
 
 from .exactlinalg import (ResidueColumns, RowSpace, add_scaled,
-                          columns_to_rows, invert_matrix, mat_mul,
-                          modular_rank, nullspace, over_working_primes,
+                          columns_to_rows, invert_matrix, mat_mul, nullspace,
                           rank_of_columns, residue, solve_batch)
-from .scalars import QQ, field_descriptor
+from .scalars import field_descriptor
 
 DEFAULT_DEGREE_CAP = 8
 
@@ -514,20 +513,15 @@ class ResidueTables:
             self.left[d] = table
         return table
 
-    def images(self, word, d, side):
-        """Flat residue images of ``word`` times each basis word of A_d
-        (``side`` "left", a walk through the left tables, last letter
-        first) or of each basis word times ``word`` ("right", through the
-        step tables)."""
+    def images(self, word, d):
+        """Flat residue images of ``word`` times each basis word of A_d, by
+        a walk through the left tables, last letter first."""
         if not word:
             return [(w, 1) for w in range(self.presentation.dim(d))]
-        if side == "left":
-            table, letters = self.left_table, word[::-1]
-        else:
-            table, letters = self.step_table, word
-        images = table(d + 1)[letters[0]]
+        letters = word[::-1]
+        images = self.left_table(d + 1)[letters[0]]
         for k, letter in enumerate(letters[1:], start=d + 2):
-            op = table(k)[letter]
+            op = self.left_table(k)[letter]
             images = self._pushed((flat, op) for flat in images)
         return images
 
@@ -781,44 +775,36 @@ class GradedAutomorphism:
 def is_regular_up_to(f, d_max):
     """Left and right multiplication by f injective on A_i for i <= d_max.
 
-    Over QQ a full rank mod p, built from the residue tables, certifies
-    injectivity; a modular miss falls back to an exact rational rank.
+    For a normal f of degree 1 or 2, with f*a = sigma(a)*f, no rank is
+    needed.  Then A*f = f*A, so (f)_{i+m} = f*A_i is the image of L_f on A_i
+    and dim B_{i+m} = dim A_{i+m} - rank(L_f on A_i) for B = A/(f).  Also
+    L_f = R_f o sigma with sigma invertible on A_i, so both sides have the
+    same rank, and both are injective on A_i exactly when
+    dim B_{i+m} = dim A_{i+m} - dim A_i.  Any other f is checked by the ranks
+    of both multiplication maps.
     """
     if not f:
         raise ValueError("zero element is never regular")
     pres = f.presentation
     m = f.degree
+    if m in (1, 2) and isinstance(is_normal(f), GradedAutomorphism):
+        B = pres.quotient(f) if m == 2 else pres.quotient_by_linear(f)[0]
+        return all(B.dim(i + m) == pres.dim(i + m) - pres.dim(i)
+                   for i in range(d_max + 1))
     for i in range(d_max + 1):
-        comp = pres.component(i)
-        dim_src = comp.dim
+        dim_src = pres.dim(i)
         if dim_src == 0:
             continue
-        dim_tgt = pres.component(i + m).dim
+        dim_tgt = pres.dim(i + m)
         if dim_tgt < dim_src:
             return False
-        for side in ("left", "right"):
-            if pres.field == QQ and over_working_primes(
-                    lambda p: modular_rank(_residue_products(f, i, side, p),
-                                           dim_tgt)) == dim_src:
-                continue
-            basis = [AlgebraElement(pres, i, {w: pres.field.one})
-                     for w in range(dim_src)]
-            cols = [(f * b if side == "left" else b * f).coords
-                    for b in basis]
+        basis = [AlgebraElement(pres, i, {w: pres.field.one})
+                 for w in range(dim_src)]
+        for cols in ([(f * b).coords for b in basis],
+                     [(b * f).coords for b in basis]):
             if rank_of_columns(cols, dim_tgt, pres.field) != dim_src:
                 return False
     return True
-
-
-def _residue_products(f, i, side, p):
-    """The residues mod p of f*w (side "left") or w*f for every basis word
-    w of A_i, as columns."""
-    pres = f.presentation
-    tables = pres.residue_tables(p)
-    words = pres.component(f.degree).words
-    terms = [(0, tables.images(words[k], i, side), r)
-             for k, c in f.coords.items() if (r := residue(c, p))]
-    return residue_sums(terms, pres.dim(i), p)
 
 
 class NormalityUndecided:

@@ -385,6 +385,9 @@ def _run_shamash(args, pres, cap, f):
     results["normalizing_matrix"] = [[str(c) for c in row]
                                      for row in sigma.matrix]
     results["regular_up_to"] = {}
+    # held through the sides loop: the regularity check builds B's
+    # components, and the right side's shamash gets this interned B back
+    B = pres.quotient(f)
     reg = is_regular_up_to(f, max(cap - 2, 0))
     results["regular_up_to"][str(max(cap - 2, 0))] = reg
     lines.append(f"regular up to degree {max(cap - 2, 0)}: {reg}")
@@ -419,6 +422,7 @@ def _run_shamash(args, pres, cap, f):
         lines.append(f"{side:>5} quotient resolution ranks {T.ranks()}  "
                      f"exact(<= {rep.internal_cap}): {rep.is_exact()}  "
                      f"minimal: {rep.minimal}")
+    del B
     _emit(args, _config(args, cap, lift), results, lines)
     return EXIT_OK
 

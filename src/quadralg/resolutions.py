@@ -226,8 +226,7 @@ class FreeModuleMap:
                 if ent:
                     words = pres.component(ent.degree).words
                     terms.extend(
-                        (row_offsets[k], tables.images(words[i], d, "left"),
-                         r)
+                        (row_offsets[k], tables.images(words[i], d), r)
                         for i, c in ent.coords.items()
                         if (r := residue(c, p)))
             columns.extend(residue_sums(terms, dim, p))

@@ -239,6 +239,13 @@ def shamash(presentation, P, f, length=None, internal_cap=None,
     if sigma is None:
         raise NotNormalError("element is not normal (no normalizing "
                              "automorphism exists)")
+    # B first: the regularity check reads its dimensions, and verification
+    # then reuses the components it built
+    if m == 2:
+        B = presentation.quotient(f)
+        linmap = None
+    else:
+        B, linmap = presentation.quotient_by_linear(f)
     cap = internal_cap or presentation.degree_cap
     if regularity_cap is None:
         regularity_cap = max(cap - m, 0)
@@ -248,11 +255,6 @@ def shamash(presentation, P, f, length=None, internal_cap=None,
     L = P.length if length is None else length
     tower = HomotopyTower(P, f, sigma, max_k=L // 2)
     tower.solve(L)
-    if m == 2:
-        B = presentation.quotient(f)
-        linmap = None
-    else:
-        B, linmap = presentation.quotient_by_linear(f)
 
     def to_b(e):
         return convert_element(e, B, linmap)

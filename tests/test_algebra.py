@@ -5,7 +5,7 @@ from itertools import product
 from math import comb
 
 import pytest
-from hypothesis import find, given, settings, strategies as st
+from hypothesis import assume, find, given, settings, strategies as st
 
 from quadralg import algebra
 from quadralg.algebra import (AlgebraElement, DegreeCapExceeded,
@@ -17,7 +17,7 @@ from quadralg.algebra import (AlgebraElement, DegreeCapExceeded,
 from quadralg.parsing import parse_presentation_text
 from quadralg.shamash import NotRegularError, shamash
 from quadralg.resolutions import linear_resolution
-from quadralg.exactlinalg import RowSpace
+from quadralg.exactlinalg import RowSpace, rank_of_columns
 from quadralg.scalars import GF, QQ
 from conftest import right_walk_product, sum_of_squares
 
@@ -147,8 +147,89 @@ def test_is_regular_examples(quantum_plane, case3_algebra):
     assert is_regular_up_to(x, 4)
     f = sum_of_squares(case3_algebra)
     assert is_regular_up_to(f, 4)
+    # x^2 in k<x,y>/(xy, yx): NormalityUndecided, so the ranks decide
+    xy_yx = QuadraticPresentation.create(QQ, ["x", "y"],
+                                         [{(0, 1): 1}, {(1, 0): 1}])
+    x2 = xy_yx.generator(0) * xy_yx.generator(0)
+    assert isinstance(is_normal(x2), NormalityUndecided)
+    assert not is_regular_up_to(x2, 4)
     with pytest.raises(ValueError):
         is_regular_up_to(quantum_plane.zero_element(1), 3)
+
+
+@st.composite
+def normal_monomials(draw):
+    """A generator or a product x_i*x_j in a skew algebra with q_ij in
+    {1, -1, 2, 3} and each x_i^2 = 0 with probability 0.4, over QQ, GF(7)
+    or GF(11)."""
+    field = draw(st.sampled_from([QQ, GF(7), GF(11)]))
+    n = draw(st.integers(2, 3))
+    rels = [{(j, i): 1, (i, j): -draw(st.sampled_from([1, -1, 2, 3]))}
+            for i in range(n) for j in range(i + 1, n)]
+    rels += [{(i, i): 1} for i in range(n)
+             if draw(st.integers(0, 4)) < 2]
+    pres = QuadraticPresentation.create(
+        field, [f"x{i}" for i in range(n)], rels, degree_cap=5)
+    letters = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2))
+    f = pres.one()
+    for u in letters:
+        f = f * pres.generator(u)
+    return f
+
+
+def multiplication_ranks_full(f, d_max):
+    """Both f*- and -*f injective on A_i for i <= d_max, by rational
+    ranks."""
+    pres = f.presentation
+    for i in range(d_max + 1):
+        basis = [basis_element(pres, i, w) for w in range(pres.dim(i))]
+        for cols in ([(f * b).coords for b in basis],
+                     [(b * f).coords for b in basis]):
+            if rank_of_columns(cols, pres.dim(i + f.degree),
+                               pres.field) != len(basis):
+                return False
+    return True
+
+
+@settings(max_examples=80)
+@given(normal_monomials())
+def test_regularity_of_normal_elements_from_the_hilbert_function(f):
+    assume(f and isinstance(is_normal(f), GradedAutomorphism))
+    d = f.presentation.degree_cap - f.degree
+    expected = multiplication_ranks_full(f, d)
+    def no_rank(*args):
+        raise AssertionError("a normal element needs no rank")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algebra, "rank_of_columns", no_rank)
+        assert is_regular_up_to(f, d) == expected
+
+
+def test_shamash_builds_each_component_once():
+    """The regularity check and the verification share B's components."""
+    builds = []
+
+    def key(pres):
+        return tuple(tuple(sorted(row.items())) for row in pres.rel_rows)
+
+    def counted(build):
+        def wrapper(pres, d, prev, prev2):
+            builds.append((key(pres), d))
+            return build(pres, d, prev, prev2)
+        return wrapper
+
+    q = [[1 if i == j else -1 for j in range(4)] for i in range(4)]
+    A = QuadraticPresentation.skew(QQ, ["a", "b", "c", "d"], q, degree_cap=7)
+    assert not A._components
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_rref_component", "_rewrite_component"):
+            mp.setattr(algebra, name, counted(getattr(algebra, name)))
+        P = linear_resolution(A, "right", 4)
+        T, _ = shamash(A, P, sum_of_squares(A), length=4)
+    assert T.meta["verification"].is_exact()
+    B = T.presentation
+    assert {(key(B), d) for d in range(2, 8)} <= set(builds)
+    assert len(builds) == len(set(builds))
 
 
 def test_is_normal_examples(sec5_algebra):

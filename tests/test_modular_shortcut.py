@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quadralg import algebra, resolutions
+from quadralg import resolutions
 from quadralg.algebra import QuadraticPresentation, is_regular_up_to
 from quadralg.resolutions import linear_resolution, verify_complex
 from quadralg.scalars import QQ
@@ -73,7 +73,6 @@ def _without_shortcut(pres, coeffs):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(resolutions, "modular_rank", never_certifies)
-        mp.setattr(algebra, "modular_rank", never_certifies)
         out = _outcomes(pres, coeffs)
     assert calls
     return out

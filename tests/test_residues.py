@@ -1,21 +1,21 @@
 """Rank certificates over QQ built in F_p from residue tables.
 
-The residue tables, the residue columns and the regularity certificate
-must equal the residues of their rational counterparts; a prime that
-clashes with a denominator only moves a certificate to the next prime, and
-when every prime clashes the rational ranks decide."""
+The residue tables and the residue columns must equal the residues of their
+rational counterparts; a prime that clashes with a denominator only moves a
+certificate to the next prime, and when every prime clashes the rational
+ranks decide.  Regularity of a normal element needs no rank at all."""
 
 from fractions import Fraction
 from functools import reduce
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from quadralg import algebra, resolutions
+from quadralg import algebra, exactlinalg, resolutions
 from quadralg.algebra import (AlgebraElement, QuadraticPresentation,
-                              _residue_products, is_regular_up_to)
+                              is_regular_up_to)
 from quadralg.exactlinalg import (MODULAR_PRIMES, PrimeClash, modular_rank,
-                                  rank_mod_p, rank_of_columns, residue)
+                                  rank_of_columns, residue)
 from quadralg.parsing import parse_presentation_text
 from quadralg.resolutions import FreeModuleMap, linear_resolution
 from quadralg.scalars import GF, QQ
@@ -67,16 +67,6 @@ def _as_dict(flat):
     return dict(zip(flat[::2], flat[1::2]))
 
 
-def _quadric(pres, coeffs):
-    gens = [pres.generator(i) for i in range(pres.n)]
-    f = pres.zero_element(2)
-    for (u, v), c in zip([(u, v) for u in range(pres.n)
-                          for v in range(pres.n)], coeffs):
-        if c:
-            f = f + (gens[u] * gens[v]).scale(c)
-    return f
-
-
 @given(ALGEBRAS, _primes)
 @settings(max_examples=30, deadline=None)
 def test_residue_tables_reduce_the_rational_tables(pres, p):
@@ -104,23 +94,6 @@ def test_residue_columns_reduce_degree_columns(pres, p):
             assert list(got) == [_reduced(col, p) for col in columns]
 
 
-@given(ALGEBRAS, st.lists(_c, min_size=9, max_size=9), _primes)
-@settings(max_examples=25, deadline=None)
-def test_regularity_certificate_in_residues(pres, coeffs, p):
-    f = _quadric(pres, coeffs)
-    assume(f)
-    for i in range(3):
-        dim_tgt = pres.dim(i + 2)
-        basis = [AlgebraElement(pres, i, {w: QQ.one})
-                 for w in range(pres.dim(i))]
-        for side in ("left", "right"):
-            cols = [(f * b if side == "left" else b * f).coords
-                    for b in basis]
-            got = _residue_products(f, i, side, p)
-            assert list(got) == [_reduced(col, p) for col in cols]
-            assert modular_rank(got, dim_tgt) == rank_mod_p(cols, dim_tgt, p)
-
-
 def _spy(monkeypatch, module):
     """Record the prime of every certificate ``module`` makes."""
     primes = []
@@ -141,17 +114,27 @@ def _no_rational_ranks(monkeypatch, module):
     monkeypatch.setattr(module, "rank_of_columns", fail)
 
 
-def test_a_clashing_coefficient_moves_regularity_to_the_next_prime(
-        monkeypatch):
+def test_regularity_of_a_normal_element_computes_no_rank(monkeypatch):
+    """f has no residue mod P1, and it need not: the dimensions of A/(f)
+    decide, with no rank mod p or over QQ."""
     pres = QuadraticPresentation.commutative(QQ, NAMES)
     x, y, z = (pres.generator(i) for i in range(3))
     f = x * x + (y * y).scale(Fraction(1, P1)) + z * z
-    with pytest.raises(PrimeClash):
-        _residue_products(f, 1, "left", P1)
-    primes = _spy(monkeypatch, algebra)
-    _no_rational_ranks(monkeypatch, algebra)
+    ranks = []
+
+    def spy(name, real):
+        def record(*args, **kwargs):
+            ranks.append(name)
+            return real(*args, **kwargs)
+        return record
+
+    for module in (algebra, exactlinalg, resolutions):
+        for name in ("modular_rank", "rank_of_columns"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    spy(name, getattr(module, name)))
     assert is_regular_up_to(f, 3)
-    assert primes and set(primes) == {P2}
+    assert ranks == []
 
 
 def test_a_clashing_relation_moves_certificates_to_the_next_prime(
