@@ -21,30 +21,33 @@ actions and conversions.  Two builders fill them, with identical results:
   PBW, hence Koszul.  The test runs once per presentation, at its first
   component of degree >= 4.
 
-A third table, ``left``, holds x_u times each basis word of A_{d-1}.  It is
-built lazily per degree by x_u*(w'*x_a) = (x_u*w')*x_a: both builders make a
-normal word its normal prefix times its last letter, so each entry is one
-right step.  Images are flat tuples (index, scalar, ...) in one list per
-letter, equal scalars shared: 1.2 MB for the n = 6 skew algebra and its
-quotient to degree 8, against 6.8 MB as dicts keyed by (u, w).  A product
-walks the words of its shorter factor, through ``step`` or ``left``.
-
-The rank certificates over QQ run in F_p, on ``ResidueTables``: residue
-copies of ``step`` and ``left``, built lazily per presentation, prime and
-degree, in the same flat layout.  The step residues reduce the QQ step
-tables, never the relations (a bad prime can move the pivots of an F_p
-echelon, and with them the normal words), and the left residues follow from
-them by the recurrence above, in ints.  A denominator divisible by p raises
-``PrimeClash`` while a table is built; nothing is stored for that degree.
+One table class, ``ResidueTables``, holds x_u times each basis word of
+A_{d-1}, built lazily per degree by x_u*(w'*x_a) = (x_u*w')*x_a: both
+builders make a normal word its normal prefix times its last letter, so
+each entry is one right step.  Images are flat tuples (index, scalar, ...)
+in one list per letter, equal scalars shared: about 1 MiB in either domain
+for the n = 6 skew algebra and its quotient to degree 8, against 6.8 MB as
+dicts keyed by (u, w).  Its scalar domain is its parameter, with one
+instance per domain: ``tables()`` holds the field's own scalars (products,
+nullspaces, lifts and the rational fallback), and ``tables(p)`` the
+residues mod p of a QQ presentation (every rank certificate).  Each degree
+starts from a flat view of the step table in its domain, built for that
+degree and dropped.  Residues reduce the QQ step tables, never the
+relations (a bad prime can move the pivots of an F_p echelon, and with them
+the normal words), and sums run in ints, reduced once per image.  A
+denominator divisible by p raises ``PrimeClash`` while a table is built;
+nothing is stored for that degree.  A product walks the words of its
+shorter factor, through ``step`` or the left tables, and the scalar
+matrices of module maps are read off the left tables in either domain.
 """
 
 from __future__ import annotations
 
 import weakref
 
-from .exactlinalg import (ResidueColumns, RowSpace, add_scaled,
-                          columns_to_rows, invert_matrix, mat_mul, nullspace,
-                          rank_of_columns, residue, solve_batch)
+from .exactlinalg import (RowSpace, add_scaled, columns_to_rows,
+                          invert_matrix, mat_mul, nullspace, rank_of_columns,
+                          residue, solve_batch)
 from .scalars import field_descriptor
 
 DEFAULT_DEGREE_CAP = 8
@@ -62,14 +65,13 @@ _INTERN = weakref.WeakValueDictionary()
 class GradedComponent:
     """Basis and multiplication data for one graded piece A_d."""
 
-    __slots__ = ("degree", "words", "index", "step", "left")
+    __slots__ = ("degree", "words", "index", "step")
 
     def __init__(self, degree, words, step):
         self.degree = degree
         self.words = words
         self.index = {w: i for i, w in enumerate(words)}
         self.step = step  # (index in A_{d-1}, letter) -> {index in A_d: scalar}
-        self.left = None  # [letter][index in A_{d-1}] -> (index, scalar, ...)
 
     @property
     def dim(self):
@@ -86,7 +88,7 @@ class QuadraticPresentation:
     """
 
     __slots__ = ("field", "names", "rel_rows", "degree_cap", "_components",
-                 "_rel_space", "_cache", "_pbw", "_residues", "__weakref__")
+                 "_rel_space", "_cache", "_pbw", "_tables", "__weakref__")
 
     def __new__(cls, field, names, relation_rows, degree_cap=None):
         if degree_cap is None:
@@ -108,7 +110,7 @@ class QuadraticPresentation:
         self._components = {}
         self._cache = {}
         self._pbw = None
-        self._residues = {}
+        self._tables = {}
         space = RowSpace(field)
         for r in relation_rows:
             space.add(dict(r))
@@ -278,46 +280,13 @@ class QuadraticPresentation:
             k += 1
         return vec
 
-    def left_table(self, d):
-        """Left multiplication A_{d-1} -> A_d by each generator, built once
-        from the step tables (see the module docstring)."""
-        comp = self.component(d)
-        if comp.left is None:
-            if d == 1:
-                comp.left = [[(u, self.field.one)] for u in range(self.n)]
-            else:
-                lower, prev2 = self.left_table(d - 1), self.component(d - 2)
-                split = [(prev2.index[w[:-1]], w[-1])
-                         for w in self.component(d - 1).words]
-                shared = {}  # one object per distinct scalar
-                left = []
-                for low in lower:
-                    images = (self.walk(add_flat({}, low[i]), d - 1, (a,))
-                              for i, a in split)
-                    left.append([tuple(x for j, c in img.items()
-                                       for x in (j, shared.setdefault(c, c)))
-                                 for img in images])
-                comp.left = left
-        return comp.left
-
-    def walk_left(self, vec, k, word):
-        """Multiply the A_k coordinates ``vec`` on the left by ``word``, last
-        letter first; returns coordinates in A_{k + len(word)}."""
-        for letter in reversed(word):
-            k += 1
-            table = self.left_table(k)[letter]
-            nxt = {}
-            for i, v in vec.items():
-                add_flat(nxt, table[i], v)
-            vec = nxt
-        return vec
-
-    def residue_tables(self, p):
-        """The tables of this QQ presentation reduced mod p, one
-        ``ResidueTables`` per prime."""
-        tables = self._residues.get(p)
+    def tables(self, p=None):
+        """The left tables of this presentation, one ``ResidueTables`` per
+        scalar domain: the field's own scalars for ``p`` None, residues mod
+        the prime ``p`` of a QQ presentation otherwise."""
+        tables = self._tables.get(p)
         if tables is None:
-            tables = self._residues[p] = ResidueTables(self, p)
+            tables = self._tables[p] = ResidueTables(self, p)
         return tables
 
     # ---- presentation-level operations ----------------------------------
@@ -391,25 +360,9 @@ class QuadraticPresentation:
                 f"with {self.r} relations>")
 
 
-def add_flat(out, flat, c=None):
-    """``add_scaled`` for an image stored flat as (index, scalar, ...)."""
-    get = out.get
-    it = iter(flat)
-    for k, v in zip(it, it):
-        if c is not None:
-            v = c * v
-        acc = get(k)
-        acc = v if acc is None else acc + v
-        if acc:
-            out[k] = acc
-        else:
-            out.pop(k, None)
-    return out
-
-
 def add_ints(acc, flat, c):
-    """``acc += c * flat`` for a flat image of residues, in ints with no
-    reduction mod p; zero sums stay in ``acc``."""
+    """``acc += c * flat`` for a flat image, with no reduction mod p; zero
+    sums stay in ``acc``."""
     get = acc.get
     it = iter(flat)
     for k, v in zip(it, it):
@@ -417,11 +370,12 @@ def add_ints(acc, flat, c):
     return acc
 
 
-def residue_sums(terms, dim, p):
-    """The ``ResidueColumns`` mod p of the columns w < dim, column w being
-    the sum of c * images[w], its rows shifted by ``offset``, over the terms
-    (offset, images, c); cells are summed in ints and reduced once."""
-    columns = ResidueColumns(p)
+def residue_sums(terms, dim, p=None):
+    """The sparse columns w < dim, column w being the sum of c * images[w],
+    its rows shifted by ``offset``, over the terms (offset, images, c).
+    Cells are summed with no reduction, then reduced mod p once when p is
+    set; zero cells are dropped."""
+    columns = []
     for w in range(dim):
         acc = {}
         get = acc.get
@@ -435,35 +389,45 @@ def residue_sums(terms, dim, p):
             for t, v in zip(it, it):
                 t += off
                 acc[t] = get(t, 0) + c * v
-        columns.append({t: r for t, v in acc.items() if (r := v % p)})
+        if p is None:
+            columns.append({t: v for t, v in acc.items() if v})
+        else:
+            columns.append({t: r for t, v in acc.items() if (r := v % p)})
     return columns
 
 
 class ResidueTables:
-    """The ``step`` and ``left`` tables of a QQ presentation reduced mod
-    ``p``, built lazily and once per degree: ``step[d][a][i]`` is word i of
-    A_{d-1} times x_a and ``left[d][u][i]`` is x_u times it, each a flat
-    tuple (index, residue, ...) of the nonzero residues.  Equal residues
-    are one object per table, and a left image that is one step image is
-    that tuple itself."""
+    """The left tables of a presentation in one scalar domain, built lazily
+    and once per degree: ``left[d][u][i]`` is x_u times word i of A_{d-1},
+    a flat tuple (index, scalar, ...) of its nonzero scalars.  For ``p``
+    None the scalars are the field's own (``Fraction`` or ``FpElement``);
+    for a prime ``p`` they are the residues mod p of a QQ presentation.
+    Equal scalars are one object per table, and a left image that is one
+    step image is that tuple itself."""
 
-    __slots__ = ("presentation", "p", "step", "left")
+    __slots__ = ("presentation", "p", "one", "left")
 
-    def __init__(self, presentation, p):
+    def __init__(self, presentation, p=None):
         self.presentation = presentation
         self.p = p
-        self.step = {}
+        self.one = presentation.field.one if p is None else 1
         self.left = {}
 
+    def scalar(self, c):
+        """The field scalar ``c`` in this domain: itself, or its residue mod
+        p (raises PrimeClash)."""
+        return c if self.p is None else residue(c, self.p)
+
     def _reduced(self, acc, shared):
-        """The flat image of the nonzero residues of the int sums ``acc``,
-        equal residues shared when ``shared`` is a dict."""
+        """The flat image of the nonzero sums ``acc``, reduced mod p when p
+        is set, equal scalars shared when ``shared`` is a dict."""
         p = self.p
+        pairs = (acc.items() if p is None
+                 else [(j, v % p) for j, v in acc.items()])
         if shared is None:
-            return tuple(x for j, v in acc.items() if (r := v % p)
-                         for x in (j, r))
-        return tuple(x for j, v in acc.items() if (r := v % p)
-                     for x in (j, shared.setdefault(r, r)))
+            return tuple(x for j, v in pairs if v for x in (j, v))
+        return tuple(x for j, v in pairs if v
+                     for x in (j, shared.setdefault(v, v)))
 
     def _pushed(self, pairs, shared=None):
         """For each (flat image, table) pair, the image pushed through the
@@ -481,25 +445,24 @@ class ResidueTables:
         return out
 
     def step_table(self, d):
-        table = self.step.get(d)
-        if table is None:
-            pres, p = self.presentation, self.p
-            step = pres.component(d).step
-            shared = {}
-            table = [[tuple(x for j, c in step[(i, a)].items()
-                            if (r := residue(c, p))
-                            for x in (j, shared.setdefault(r, r)))
-                      for i in range(pres.dim(d - 1))]
-                     for a in range(pres.n)]
-            self.step[d] = table
-        return table
+        """The step table of A_d in this domain, flat: ``[a][i]`` is word i
+        of A_{d-1} times x_a.  Built afresh; ``left_table`` reads it once
+        per degree and does not keep it."""
+        pres = self.presentation
+        step = pres.component(d).step
+        shared = {}
+        return [[tuple(x for j, c in step[(i, a)].items()
+                       if (r := self.scalar(c))
+                       for x in (j, shared.setdefault(r, r)))
+                 for i in range(pres.dim(d - 1))]
+                for a in range(pres.n)]
 
     def left_table(self, d):
         table = self.left.get(d)
         if table is None:
             pres = self.presentation
             if d == 1:
-                table = [[(u, 1)] for u in range(pres.n)]
+                table = [[(u, self.one)] for u in range(pres.n)]
             else:
                 step = self.step_table(d)
                 prev2 = pres.component(d - 2)
@@ -514,16 +477,25 @@ class ResidueTables:
         return table
 
     def images(self, word, d):
-        """Flat residue images of ``word`` times each basis word of A_d, by
-        a walk through the left tables, last letter first."""
+        """Flat images of ``word`` times each basis word of A_d, by a walk
+        through the left tables, last letter first."""
         if not word:
-            return [(w, 1) for w in range(self.presentation.dim(d))]
+            return [(w, self.one) for w in range(self.presentation.dim(d))]
         letters = word[::-1]
         images = self.left_table(d + 1)[letters[0]]
         for k, letter in enumerate(letters[1:], start=d + 2):
             op = self.left_table(k)[letter]
             images = self._pushed((flat, op) for flat in images)
         return images
+
+    def walk_left(self, vec, k, word):
+        """Multiply the A_k coordinates ``vec`` on the left by ``word``, last
+        letter first; returns coordinates in A_{k + len(word)}."""
+        flat = tuple(x for item in vec.items() for x in item)
+        for letter in reversed(word):
+            k += 1
+            flat, = self._pushed(((flat, self.left_table(k)[letter]),))
+        return dict(zip(flat[::2], flat[1::2]))
 
 
 def _rref_component(pres, d, prev, prev2):
@@ -642,7 +614,7 @@ class AlgebraElement:
         pres = self.presentation
         # walk the words of the factor with fewer letters through the other
         if self.degree < other.degree:
-            fixed, walker, walk = other, self, pres.walk_left
+            fixed, walker, walk = other, self, pres.tables().walk_left
         else:
             fixed, walker, walk = self, other, pres.walk
         words = pres.component(walker.degree).words
@@ -828,10 +800,19 @@ def is_normal(f):
     and preserve R.  For regular f the solution is unique and the answer is
     sigma or None.  When u -> x_u f has a kernel, only the particular
     solution and its shifts by each kernel vector are tried; if none passes,
-    the answer is a ``NormalityUndecided``.
+    the answer is a ``NormalityUndecided``.  The answer is memoized per
+    presentation by f's degree and coordinates.
     """
     if not f:
         raise ValueError("zero element")
+    key = ("sigma", f.degree, frozenset(f.coords.items()))
+    cache = f.presentation._cache
+    if key not in cache:
+        cache[key] = _normalizing_automorphism(f)
+    return cache[key]
+
+
+def _normalizing_automorphism(f):
     pres = f.presentation
     n = pres.n
     field = pres.field

@@ -12,8 +12,7 @@ and two elimination kernels on sparse rows, one per kind of field.
 The certificates of the package are built in F_p from the start: the
 algebra reduces its multiplication tables mod p once per prime and the
 callers hand ``modular_rank`` ``ResidueColumns``, which it eliminates as
-they are.  Rational columns are still accepted and reduced cell by cell.
-``over_working_primes`` is the one loop over ``MODULAR_PRIMES``: a
+they are.  ``over_working_primes`` is the one loop over ``MODULAR_PRIMES``: a
 denominator divisible by the prime raises ``PrimeClash`` and moves to the
 next one, and when every prime clashes there is no certificate, so the
 rational ranks decide.  Reduction mod p is a ring map on p-integral
@@ -271,31 +270,13 @@ def _echelon_rank(rows, p):
     return len(pivots)
 
 
-def rank_mod_p(columns, nrows, p):
-    """Rank over F_p of the sparse-column matrix, eliminated by rows;
-    raises PrimeClash if a denominator hits p."""
-    rows = [{} for _ in range(nrows)]
-    for j, col in enumerate(columns):
-        for i, v in col.items():
-            r = residue(v, p)
-            if r:
-                rows[i][j] = r
-    return _echelon_rank(rows, p)
-
-
 def modular_rank(columns, nrows):
-    """Rank of a sparse-column matrix over a working prime: a lower bound
-    for its rank over QQ, which the certificates in the verifiers close.
-
-    ``ResidueColumns`` are eliminated over their own prime, as the rows of
-    the transpose (like ``rank_of_columns``).  Rational columns are reduced
-    at the first prime that clashes with no denominator; when every prime
-    clashes the answer is 0, the lower bound that certifies nothing.
-    """
-    if isinstance(columns, ResidueColumns):
-        return _echelon_rank([dict(c) for c in columns], columns.prime)
-    rank = over_working_primes(lambda p: rank_mod_p(columns, nrows, p))
-    return 0 if rank is None else rank
+    """Rank over F_p of ``ResidueColumns`` reduced mod a working prime p: a
+    lower bound for the rank over QQ of the columns they reduce, which the
+    certificates in the verifiers close.  The columns are eliminated over
+    their own prime, as the ``nrows``-long rows of the transpose (like
+    ``rank_of_columns``), and are not consumed."""
+    return _echelon_rank([dict(c) for c in columns], columns.prime)
 
 
 def rank_of_columns(columns, nrows, field=QQ):

@@ -9,20 +9,20 @@ opposite algebra, transposed at the geometric boundary.
 Exactness at truncation is certified exactly: composite-zero symbolically
 over the algebra, then rank counting where a full modular rank sum closes
 the certificate over QQ and any miss falls back to rational elimination.
-The certificate matrices are built in F_p from the algebra's residue tables
-(``FreeModuleMap.residue_columns``); the rational ``degree_columns`` serve
-the nullspaces, the lifts and the fallback.
+The scalar matrices of a map are read off the algebra's left tables by one
+assembler, in either of their domains: ``degree_columns`` in field scalars
+for the nullspaces, the lifts, the ranks over GF(p) and the rational
+fallback, and ``residue_columns`` in F_p for the certificates over QQ.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebra import (AlgebraElement, GradedAutomorphism, add_flat,
-                      residue_sums)
+from .algebra import AlgebraElement, GradedAutomorphism, residue_sums
 from .exactlinalg import (ResidueColumns, add_scaled, columns_to_rows,
                           modular_rank, nullspace, over_working_primes,
-                          rank_of_columns, residue, solve_batch)
+                          rank_of_columns, solve_batch)
 from .linearforms import LinearFormMatrix, geometry_ring
 from .scalars import QQ
 
@@ -167,54 +167,17 @@ class FreeModuleMap:
             total += pres.dim(d) if d >= 0 else 0
         return offsets, total
 
-    def degree_columns(self, e):
-        """Scalar matrix of the internal-degree-e component, as sparse
-        columns; returns (columns, nrows, col_labels).  Entry times basis
-        word walks the entry's words on the left through the left tables."""
+    def _columns(self, e, p):
+        """The internal-degree-e scalar matrix in the domain of the left
+        tables ``tables(p)``: (sparse columns, nrows, col_labels).  Column
+        (j, w) sums each nonzero entry of column j times basis word w of
+        A_{e - shift}: each word of the entry is walked on the left through
+        the tables, and its rows go to the entry's block."""
         pres = self.presentation
+        tables = pres.tables(p)
         row_offsets, total_rows = self.row_offsets(e)
-        columns = []
+        columns = [] if p is None else ResidueColumns(p)
         labels = []
-        for j, s in enumerate(self.source_shifts):
-            d = e - s
-            if d < 0 or not pres.dim(d):
-                continue
-            blocks = []
-            first = None  # left multiplication into A_{d+1}
-            for k, row in enumerate(self.entries):
-                ent = row[j]
-                if ent:
-                    if ent.degree and first is None:
-                        first = pres.left_table(d + 1)
-                    words = pres.component(ent.degree).words
-                    blocks.append((row_offsets[k], [
-                        (words[i], c) for i, c in ent.coords.items()]))
-            for w in range(pres.dim(d)):
-                col = {}
-                for off, terms in blocks:
-                    prod = {}
-                    for word, c in terms:
-                        if len(word) <= 1:  # one lookup, or a scalar entry
-                            add_flat(prod, first[word[0]][w] if word
-                                     else (w, pres.field.one), c)
-                        else:
-                            add_scaled(prod, pres.walk_left(
-                                add_flat({}, first[word[-1]][w]), d + 1,
-                                word[:-1]), c)
-                    col.update((off + t, c) for t, c in prod.items())
-                columns.append(col)
-                labels.append((j, w))
-        return columns, total_rows, labels
-
-    def residue_columns(self, e, p):
-        """``degree_columns(e)`` reduced mod p, built from the residue tables
-        of the QQ algebra: (``ResidueColumns``, nrows), with the same rows
-        and columns.  Each entry's coordinates are reduced once; raises
-        PrimeClash."""
-        pres = self.presentation
-        tables = pres.residue_tables(p)
-        row_offsets, total_rows = self.row_offsets(e)
-        columns = ResidueColumns(p)
         for j, s in enumerate(self.source_shifts):
             d = e - s
             dim = pres.dim(d) if d >= 0 else 0
@@ -228,8 +191,22 @@ class FreeModuleMap:
                     terms.extend(
                         (row_offsets[k], tables.images(words[i], d), r)
                         for i, c in ent.coords.items()
-                        if (r := residue(c, p)))
+                        if (r := tables.scalar(c)))
             columns.extend(residue_sums(terms, dim, p))
+            labels.extend((j, w) for w in range(dim))
+        return columns, total_rows, labels
+
+    def degree_columns(self, e):
+        """Scalar matrix of the internal-degree-e component, as sparse
+        columns of field scalars; returns (columns, nrows, col_labels)."""
+        return self._columns(e, None)
+
+    def residue_columns(self, e, p):
+        """``degree_columns(e)`` reduced mod p, built from the residue tables
+        of the QQ algebra: (``ResidueColumns``, nrows), with the same rows
+        and columns.  Each entry's coordinates are reduced once; raises
+        PrimeClash."""
+        columns, total_rows, _ = self._columns(e, p)
         return columns, total_rows
 
     def to_linear_form_matrix(self, ring=None):

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import settings
 
 from quadralg.scalars import QQ
-from quadralg.algebra import QuadraticPresentation, opposite_element
+from quadralg.algebra import (AlgebraElement, QuadraticPresentation,
+                              opposite_element)
 from quadralg.resolutions import FreeComplex, linear_resolution
 from quadralg.shamash import shamash
 
@@ -76,6 +77,29 @@ def right_walk_product(a, b):
         for t, v in vec.items():
             out[t] = out.get(t, zero) + c * v
     return {t: v for t, v in out.items() if v}
+
+
+def reference_degree_columns(fmap, e):
+    """Reference ``FreeModuleMap.degree_columns``: every entry times every
+    basis vector of its source block, as a ``right_walk_product``."""
+    pres = fmap.presentation
+    row_offsets, total_rows = fmap.row_offsets(e)
+    columns, labels = [], []
+    for j, s in enumerate(fmap.source_shifts):
+        d = e - s
+        if d < 0:
+            continue
+        for w in range(pres.dim(d)):
+            basis = AlgebraElement(pres, d, {w: pres.field.one})
+            col = {}
+            for k in range(fmap.nrows):
+                ent = fmap.entries[k][j]
+                if ent:
+                    for t, c in right_walk_product(ent, basis).items():
+                        col[row_offsets[k] + t] = c
+            columns.append(col)
+            labels.append((j, w))
+    return columns, total_rows, labels
 
 
 def quotient_resolutions(pres, f, length=6, internal_cap=None):

@@ -542,7 +542,7 @@ def assert_left_tables_match(pres, top):
     """Every image x_u * w stored in the left tables of A_1..A_top is the
     product computed by the right walk, with no zero scalar stored."""
     for d in range(1, top + 1):
-        table = pres.left_table(d)
+        table = pres.tables().left_table(d)
         assert len(table) == pres.n
         for u, images in enumerate(table):
             assert len(images) == pres.dim(d - 1)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import quadralg
+from quadralg import algebra
 from quadralg.algebra import QuadraticPresentation
 from quadralg.cli import main
 from quadralg.exactlinalg import MODULAR_PRIMES
@@ -150,6 +151,36 @@ def test_shamash_subcommand(workdir):
     assert doc["results"]["normal"] is True
     assert doc["results"]["right"]["ranks"] == [1, 4, 7, 8, 8]
     assert doc["results"]["right"]["verification"]["minimal"] is True
+
+
+@pytest.mark.parametrize("name, element, solved", [
+    ("case2", "x1^2 + x2^2 + x3^2 + x4^2", 1),
+    ("qplane", "x*y", 2),
+])
+def test_shamash_on_both_sides_computes_sigma_once_per_element(
+        workdir, monkeypatch, name, element, solved):
+    """sigma is solved for once per distinct (algebra, element): case2 is
+    its own opposite and fixes its sum of squares, while the quantum
+    plane's opposite is another algebra with f = y*x there.  Only
+    ``is_normal`` calls ``algebra.nullspace``.  The cap is this test's own,
+    so no presentation made by another test is reused."""
+    calls = []
+    real = algebra.nullspace
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(algebra, "nullspace", spy)
+    code = run(["shamash", f"{name}.pres", "--element", element,
+                "-L", "3", "--cap", "7", "--side", "both",
+                "--json-out", "sh2.json"])
+    assert code == 0
+    doc = load("sh2.json")
+    assert doc["results"]["normal"] is True
+    for side in ("right", "left"):
+        assert doc["results"][side]["verification"]["exact"] is True
+    assert len(calls) == solved
 
 
 def test_shamash_non_normal_is_verdict_not_error(workdir):

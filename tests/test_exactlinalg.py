@@ -5,11 +5,11 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quadralg import exactlinalg
 from quadralg.exactlinalg import (MODULAR_PRIMES, PrimeClash, ResidueColumns,
                                   RowSpace, exact_rank, invert_matrix,
                                   mat_mul, modular_rank, nullspace,
-                                  rank_mod_p, rank_of_columns, solve_batch)
+                                  over_working_primes, rank_of_columns,
+                                  residue, solve_batch)
 from quadralg.scalars import QQ, GF
 
 
@@ -110,6 +110,12 @@ def test_solve_batch_particular_and_inconsistent():
     assert sols[1] is None
 
 
+def residue_columns(columns, p):
+    """Rational columns reduced mod p; raises PrimeClash."""
+    return ResidueColumns(p, [{i: r for i, v in col.items()
+                               if (r := residue(v, p))} for col in columns])
+
+
 def test_modular_rank_bounds_exact():
     rng = random.Random(3)
     for _ in range(15):
@@ -117,7 +123,7 @@ def test_modular_rank_bounds_exact():
         cols = [{i: Fraction(rng.randint(-4, 4)) for i in range(m)
                  if rng.random() < 0.8} for _ in range(n)]
         cols = [{i: v for i, v in c.items() if v} for c in cols]
-        rm = modular_rank(cols, m)
+        rm = modular_rank(residue_columns(cols, MODULAR_PRIMES[0]), m)
         re = rank_of_columns(cols, m, QQ)
         assert rm <= re
         assert rm == re  # random small integer matrices never collide
@@ -132,7 +138,7 @@ def test_invert_and_mul():
                           [Fraction(2), Fraction(4)]], QQ) is None
 
 
-# ---------------------------------------------------------- rank_mod_p
+# ------------------------------------------- ranks mod p and the primes
 
 RANK_PRIMES = (2, 3, 32003, MODULAR_PRIMES[0])
 
@@ -178,23 +184,27 @@ def _rowspace_rank(columns, p):
 @given(column_matrices())
 def test_rank_mod_p_agrees_with_rowspace(case):
     p, columns, nrows = case
-    assert rank_mod_p(columns, nrows, p) == _rowspace_rank(columns, p)
+    assert (modular_rank(residue_columns(columns, p), nrows)
+            == _rowspace_rank(columns, p))
 
 
-def test_modular_rank_moves_past_a_clashing_prime(monkeypatch):
+def _certificate(columns, nrows, tried):
+    """The modular rank of rational columns at the first working prime that
+    clashes with no denominator, recording each prime tried."""
+    def attempt(p):
+        tried.append(p)
+        return modular_rank(residue_columns(columns, p), nrows)
+
+    return over_working_primes(attempt)
+
+
+def test_modular_rank_moves_past_a_clashing_prime():
     columns = [{0: Fraction(1, MODULAR_PRIMES[0]), 1: Fraction(1)},
                {0: Fraction(2), 1: Fraction(3)}]
     with pytest.raises(PrimeClash):
-        rank_mod_p(columns, 2, MODULAR_PRIMES[0])
+        residue_columns(columns, MODULAR_PRIMES[0])
     tried = []
-    real = exactlinalg.rank_mod_p
-
-    def spy(cols, nrows, p):
-        tried.append(p)
-        return real(cols, nrows, p)
-
-    monkeypatch.setattr(exactlinalg, "rank_mod_p", spy)
-    assert modular_rank(columns, 2) == 2
+    assert _certificate(columns, 2, tried) == 2
     assert tried == list(MODULAR_PRIMES[:2])
 
 
@@ -203,7 +213,9 @@ def test_modular_rank_certifies_nothing_when_every_prime_clashes():
     for p in MODULAR_PRIMES:
         n *= p
     columns = [{0: Fraction(1, n)}, {1: Fraction(1)}]
-    assert modular_rank(columns, 2) == 0
+    tried = []
+    assert _certificate(columns, 2, tried) is None
+    assert tried == list(MODULAR_PRIMES)
     assert rank_of_columns(columns, 2, QQ) == 2
 
 

@@ -20,7 +20,7 @@ from quadralg.parsing import parse_presentation_text
 from quadralg.resolutions import FreeModuleMap, linear_resolution
 from quadralg.scalars import GF, QQ
 from quadralg.shamash import shamash
-from conftest import sum_of_squares
+from conftest import reference_degree_columns, sum_of_squares
 
 P1, P2 = MODULAR_PRIMES[:2]
 NAMES = ["x", "y", "z"]
@@ -70,10 +70,10 @@ def _as_dict(flat):
 @given(ALGEBRAS, _primes)
 @settings(max_examples=30, deadline=None)
 def test_residue_tables_reduce_the_rational_tables(pres, p):
-    tables = pres.residue_tables(p)
+    tables = pres.tables(p)
     for d in range(1, 5):
         step = pres.component(d).step
-        left = pres.left_table(d)
+        left = pres.tables().left_table(d)
         for a in range(pres.n):
             for i in range(pres.dim(d - 1)):
                 assert (_as_dict(tables.step_table(d)[a][i])
@@ -92,6 +92,8 @@ def test_residue_columns_reduce_degree_columns(pres, p):
             got, got_rows = fmap.residue_columns(e, p)
             assert got.prime == p and got_rows == nrows
             assert list(got) == [_reduced(col, p) for col in columns]
+            reference, _, _ = reference_degree_columns(fmap, e)
+            assert list(got) == [_reduced(col, p) for col in reference]
 
 
 def _spy(monkeypatch, module):
@@ -143,8 +145,8 @@ def test_a_clashing_relation_moves_certificates_to_the_next_prime(
     q = [[1, P1, -1], [Fraction(1, P1), 1, 2], [-1, Fraction(1, 2), 1]]
     pres = QuadraticPresentation.skew(QQ, NAMES, q, degree_cap=CAP)
     with pytest.raises(PrimeClash):
-        pres.residue_tables(P1).step_table(2)
-    assert 2 not in pres.residue_tables(P1).step
+        pres.tables(P1).left_table(2)
+    assert 2 not in pres.tables(P1).left
     primes = _spy(monkeypatch, resolutions)
     _no_rational_ranks(monkeypatch, resolutions)
     res = linear_resolution(pres, "right", 4)
@@ -180,7 +182,7 @@ def test_residues_do_not_depend_on_the_order_of_the_primes():
     maps = linear_resolution(source, "right", 3).maps
     results = []
     for pres, order in ((first, (P1, P2)), (second, (P2, P1))):
-        assert not pres._components and not pres._residues
+        assert not pres._components and not pres._tables
         out = {}
         for p in order:
             for k, fmap in enumerate(maps):
@@ -203,8 +205,8 @@ def test_a_prime_field_builds_no_residue_tables():
     P = linear_resolution(pres, "right", 4)
     T, _ = shamash(pres, P, f, length=4, internal_cap=6)
     assert T.meta["verification"].is_exact()
-    assert not pres._residues
-    assert not T.presentation._residues
+    assert set(pres._tables) == {None}
+    assert set(T.presentation._tables) == {None}
 
 
 N = reduce(lambda a, b: a * b, MODULAR_PRIMES)

@@ -4,15 +4,15 @@ from math import comb
 
 import pytest
 
-from quadralg.algebra import (AlgebraElement, GradedAutomorphism,
-                              QuadraticPresentation)
+from quadralg.algebra import GradedAutomorphism, QuadraticPresentation
 from quadralg.exactlinalg import MODULAR_PRIMES, exact_rank, residue
 from quadralg.resolutions import (FreeComplex, FreeModuleMap,
                                   NonlinearKernelError, geometry_ring,
                                   linear_resolution, scalar_chain_isomorphism,
                                   twist_complex, verify_complex)
 from quadralg.scalars import QQ
-from conftest import quotient_resolutions, right_walk_product, sum_of_squares
+from conftest import (quotient_resolutions, reference_degree_columns,
+                      sum_of_squares)
 
 
 def test_quantum_plane_resolution_matches_display(quantum_plane):
@@ -158,29 +158,6 @@ def test_scalar_chain_iso_rejects_non_isomorphic(quantum_plane):
 
 
 # ---- degree_columns against the per-basis-product reference -------------
-
-def reference_degree_columns(fmap, e):
-    """degree_columns as it was before the left tables: every entry times
-    every basis vector of its source block, as a right-walk product."""
-    pres = fmap.presentation
-    row_offsets, total_rows = fmap.row_offsets(e)
-    columns, labels = [], []
-    for j, s in enumerate(fmap.source_shifts):
-        d = e - s
-        if d < 0:
-            continue
-        for w in range(pres.dim(d)):
-            basis = AlgebraElement(pres, d, {w: pres.field.one})
-            col = {}
-            for k in range(fmap.nrows):
-                ent = fmap.entries[k][j]
-                if ent:
-                    for t, c in right_walk_product(ent, basis).items():
-                        col[row_offsets[k] + t] = c
-            columns.append(col)
-            labels.append((j, w))
-    return columns, total_rows, labels
-
 
 def assert_columns_match(fmap, top):
     """Columns, row count and labels agree in every internal degree whose
