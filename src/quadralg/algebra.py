@@ -4,9 +4,10 @@ elements, multiplication, normal/regular elements, automorphisms, quotients.
 The relations are stored as the reduced row echelon basis of R in the word
 coordinates u*n + v, each row monic at its least column: its leading 2-word.
 A graded component A_d has a basis of "normal words" in lex order and a
-per-letter table ``step`` that multiplies a basis word of A_{d-1} on the
-right by a generator.  These tables drive all products, automorphism
-actions and conversions.  Two builders fill them, with identical results:
+per-letter table ``step``: ``step[a][i]`` is word i of A_{d-1} times the
+generator x_a, a flat tuple (index, scalar, ...) of its nonzero scalars in
+ascending index.  These tables drive all products, automorphism actions
+and conversions.  Two builders fill them, with identical results:
 
 * Elimination (A_0..A_3, and every degree of a non-PBW presentation).  A_d
   is the quotient of A_{d-1} (x) V by the image of A_{d-2} (x) R; the normal
@@ -21,24 +22,22 @@ actions and conversions.  Two builders fill them, with identical results:
   PBW, hence Koszul.  The test runs once per presentation, at its first
   component of degree >= 4.
 
-One table class, ``ResidueTables``, holds x_u times each basis word of
-A_{d-1}, built lazily per degree by x_u*(w'*x_a) = (x_u*w')*x_a: both
-builders make a normal word its normal prefix times its last letter, so
-each entry is one right step.  Images are flat tuples (index, scalar, ...)
-in one list per letter, equal scalars shared: about 1 MiB in either domain
-for the n = 6 skew algebra and its quotient to degree 8, against 6.8 MB as
-dicts keyed by (u, w).  Its scalar domain is its parameter, with one
-instance per domain: ``tables()`` holds the field's own scalars (products,
-nullspaces, lifts and the rational fallback), and ``tables(p)`` the
-residues mod p of a QQ presentation (every rank certificate).  Each degree
-starts from a flat view of the step table in its domain, built for that
-degree and dropped.  Residues reduce the QQ step tables, never the
-relations (a bad prime can move the pivots of an F_p echelon, and with them
-the normal words), and sums run in ints, reduced once per image.  A
-denominator divisible by p raises ``PrimeClash`` while a table is built;
-nothing is stored for that degree.  A product walks the words of its
-shorter factor, through ``step`` or the left tables, and the scalar
-matrices of module maps are read off the left tables in either domain.
+One table class, ``ResidueTables``, holds in that layout x_u times each basis
+word of A_{d-1}, built lazily per degree by x_u*(w'*x_a) = (x_u*w')*x_a: both
+builders make a normal word its normal prefix times its last letter, so each
+entry is one right step.  Equal scalars are shared: about 1 MiB in either
+domain for the n = 6 skew algebra and its quotient to degree 8, against
+6.8 MB as dicts keyed by (u, w).  Its scalar domain is its parameter, with
+one instance per domain: ``tables()`` holds the field's own scalars
+(products, nullspaces, lifts and the rational fallback), and ``tables(p)``
+the residues mod p of a QQ presentation (every rank certificate).  Residues
+reduce the QQ step tables, never the relations (a bad prime can move the
+pivots of an F_p echelon, and with them the normal words), and sums run in
+ints, reduced once per image.  A denominator divisible by p raises
+``PrimeClash`` while a table is built; nothing is stored for that degree.
+One walk, ``ResidueTables.walk``, multiplies by a word through the step
+tables or the left tables; a product walks the words of its shorter factor.
+The scalar matrices of module maps are read off the left tables.
 """
 
 from __future__ import annotations
@@ -71,7 +70,7 @@ class GradedComponent:
         self.degree = degree
         self.words = words
         self.index = {w: i for i, w in enumerate(words)}
-        self.step = step  # (index in A_{d-1}, letter) -> {index in A_d: scalar}
+        self.step = step  # [letter][index in A_{d-1}] -> (index, scalar, ...)
 
     @property
     def dim(self):
@@ -196,10 +195,10 @@ class QuadraticPresentation:
             return comp
         n = self.n
         if d == 0:
-            comp = GradedComponent(0, ((),), {})
+            comp = GradedComponent(0, ((),), [])
         elif d == 1:
             words = tuple((j,) for j in range(n))
-            step = {(0, j): {j: self.field.one} for j in range(n)}
+            step = [[(j, self.field.one)] for j in range(n)]
             comp = GradedComponent(1, words, step)
         else:
             prev = self.component(d - 1)
@@ -248,37 +247,13 @@ class QuadraticPresentation:
 
     def from_word_coeffs(self, degree, word_coeffs):
         """Element from tensor-word coefficients (projection into A_d)."""
+        walk = self.tables().walk
         out = {}
         for word, c in word_coeffs.items():
             c = self.field(c)
             if c:
-                add_scaled(out, self.walk({0: c}, 0, word))
+                add_scaled(out, walk({0: self.field.one}, 0, word, "right"), c)
         return AlgebraElement(self, degree, out)
-
-    def walk(self, vec, k, word, linmap=None):
-        """Multiply the A_k coordinates ``vec`` on the right by the letters
-        of ``word`` in turn; returns coordinates in A_{k + len(word)}.
-
-        Letter u stands for the generator x_u, or with ``linmap`` for the
-        degree-1 form ``linmap[u]`` of this presentation (see
-        ``convert_element``).
-        """
-        for letter in word:
-            step = self.component(k + 1).step
-            nxt = {}
-            for i, v in vec.items():
-                if linmap is None:
-                    img = step.get((i, letter))
-                    if img:
-                        add_scaled(nxt, img, v)
-                    continue
-                for u, c in enumerate(linmap[letter]):
-                    img = step.get((i, u)) if c else None
-                    if img:
-                        add_scaled(nxt, img, v * c)
-            vec = nxt
-            k += 1
-        return vec
 
     def tables(self, p=None):
         """The left tables of this presentation, one ``ResidueTables`` per
@@ -361,12 +336,12 @@ class QuadraticPresentation:
 
 
 def add_ints(acc, flat, c):
-    """``acc += c * flat`` for a flat image, with no reduction mod p; zero
-    sums stay in ``acc``."""
-    get = acc.get
+    """``acc += c * flat`` for a flat image, in ints or field scalars, with
+    no reduction mod p; each sum starts from its first term, and zero sums
+    stay in ``acc``."""
     it = iter(flat)
     for k, v in zip(it, it):
-        acc[k] = get(k, 0) + c * v
+        acc[k] = acc[k] + c * v if k in acc else c * v
     return acc
 
 
@@ -445,17 +420,18 @@ class ResidueTables:
         return out
 
     def step_table(self, d):
-        """The step table of A_d in this domain, flat: ``[a][i]`` is word i
-        of A_{d-1} times x_a.  Built afresh; ``left_table`` reads it once
-        per degree and does not keep it."""
-        pres = self.presentation
-        step = pres.component(d).step
+        """The step table of A_d in this domain: the stored one for field
+        scalars, else its residues mod p, built afresh (``left_table`` reads
+        it once per degree and does not keep it)."""
+        step = self.presentation.component(d).step
+        if self.p is None:
+            return step
         shared = {}
-        return [[tuple(x for j, c in step[(i, a)].items()
+        return [[tuple(x for j, c in zip(flat[::2], flat[1::2])
                        if (r := self.scalar(c))
                        for x in (j, shared.setdefault(r, r)))
-                 for i in range(pres.dim(d - 1))]
-                for a in range(pres.n)]
+                 for flat in images]
+                for images in step]
 
     def left_table(self, d):
         table = self.left.get(d)
@@ -488,13 +464,17 @@ class ResidueTables:
             images = self._pushed((flat, op) for flat in images)
         return images
 
-    def walk_left(self, vec, k, word):
-        """Multiply the A_k coordinates ``vec`` on the left by ``word``, last
-        letter first; returns coordinates in A_{k + len(word)}."""
+    def walk(self, vec, k, word, side):
+        """Multiply the A_k coordinates ``vec`` by ``word`` on ``side``:
+        through the step tables, first letter first ("right"), or through
+        the left tables, last letter first ("left").  Returns coordinates
+        in A_{k + len(word)}."""
+        table, letters = ((self.step_table, word) if side == "right"
+                          else (self.left_table, reversed(word)))
         flat = tuple(x for item in vec.items() for x in item)
-        for letter in reversed(word):
+        for letter in letters:
             k += 1
-            flat, = self._pushed(((flat, self.left_table(k)[letter]),))
+            flat, = self._pushed(((flat, table(k)[letter]),))
         return dict(zip(flat[::2], flat[1::2]))
 
 
@@ -508,23 +488,24 @@ def _rref_component(pres, d, prev, prev2):
             vec = {}
             for col, c in rel.items():
                 u, v = divmod(col, n)
-                mid = prev.step.get((b, u))
-                if mid:
-                    add_scaled(vec, {i * n + v: s for i, s in mid.items()}, c)
+                mid = prev.step[u][b]
+                add_scaled(vec, {i * n + v: s for i, s in
+                                 zip(mid[::2], mid[1::2])}, c)
             if vec:
                 space.add(vec)
     pivots = space.pivots
     normal_cols = [c for c in range(prev.dim * n) if c not in pivots]
     words = tuple(prev.words[c // n] + (c % n,) for c in normal_cols)
     remap = {c: i for i, c in enumerate(normal_cols)}
-    step = {}
-    for c in range(prev.dim * n):
-        pair = (c // n, c % n)
-        if c in pivots:
-            row = pivots[c]
-            step[pair] = {remap[oc]: -v for oc, v in row.items() if oc != c}
-        else:
-            step[pair] = {remap[c]: pres.field.one}
+
+    def image(c):
+        row = pivots.get(c)
+        if row is None:
+            return (remap[c], pres.field.one)
+        return tuple(x for oc in sorted(row) if oc != c
+                     for x in (remap[oc], -row[oc]))
+
+    step = [[image(i * n + a) for i in range(prev.dim)] for a in range(n)]
     return GradedComponent(d, words, step)
 
 
@@ -544,24 +525,26 @@ def _rewrite_component(pres, d, prev, prev2):
     words = tuple(w + (a,) for w in prev.words for a in range(n)
                   if (w[-1], a) not in lead)
     index = {w: i for i, w in enumerate(words)}
-    step = {}
+    step = [[None] * prev.dim for _ in range(n)]
     for c in range(prev.dim * n - 1, -1, -1):
         i, a = divmod(c, n)
         w = prev.words[i]
         row = lead.get((w[-1], a))
         if row is None:
-            step[(i, a)] = {index[w + (a,)]: one}
+            step[a][i] = (index[w + (a,)], one)
             continue
         prefix = prev2.index[w[:-1]]
         lead_col = w[-1] * n + a
-        out = {}
+        acc = {}
         for col, coeff in row.items():
             if col == lead_col:
                 continue
             s, t = divmod(col, n)
-            for j, v in prev.step[(prefix, s)].items():
-                add_scaled(out, step[(j, t)], -coeff * v)
-        step[(i, a)] = out
+            it = iter(prev.step[s][prefix])
+            for j, v in zip(it, it):
+                add_ints(acc, step[t][j], -coeff * v)
+        step[a][i] = tuple(x for j in sorted(acc) if acc[j]
+                           for x in (j, acc[j]))
     return GradedComponent(d, words, step)
 
 
@@ -614,13 +597,15 @@ class AlgebraElement:
         pres = self.presentation
         # walk the words of the factor with fewer letters through the other
         if self.degree < other.degree:
-            fixed, walker, walk = other, self, pres.tables().walk_left
+            fixed, walker, side = other, self, "left"
         else:
-            fixed, walker, walk = self, other, pres.walk
+            fixed, walker, side = self, other, "right"
         words = pres.component(walker.degree).words
+        walk = pres.tables().walk
         out = {}
         for i, c in walker.coords.items():
-            add_scaled(out, walk(fixed.coords, fixed.degree, words[i]), c)
+            add_scaled(out, walk(fixed.coords, fixed.degree, words[i], side),
+                       c)
         return AlgebraElement(pres, self.degree + other.degree, out)
 
     __rmul__ = scale
@@ -855,9 +840,21 @@ def convert_element(element, target, linmap=None):
     if linmap is None and target.n != src.n:
         raise ValueError("generator counts differ; supply linmap")
     words = src.component(element.degree).words
+    walk = target.tables().walk
     out = {}
     for i, c in element.coords.items():
-        add_scaled(out, target.walk({0: target.field(c)}, 0, words[i], linmap))
+        vec = {0: target.field.one}
+        if linmap is None:
+            vec = walk(vec, 0, words[i], "right")
+        else:
+            # times each letter's linear form sum_u linmap[letter][u] * x_u
+            for k, letter in enumerate(words[i]):
+                nxt = {}
+                for u, cu in enumerate(linmap[letter]):
+                    if cu:
+                        add_scaled(nxt, walk(vec, k, (u,), "right"), cu)
+                vec = nxt
+        add_scaled(out, vec, target.field(c))
     return AlgebraElement(target, element.degree, out)
 
 

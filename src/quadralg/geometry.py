@@ -37,6 +37,13 @@ def _resolution(presentation, side, length, resolutions=None):
     return linear_resolution(presentation, side, length, check="report")
 
 
+def _vanishes_at(ideal, point):
+    """Whether every generator of ``ideal`` vanishes at ``point``."""
+    if isinstance(point, ProjPoint):
+        point = point.coords
+    return all(not g.evaluate(point) for g in ideal.gens)
+
+
 @dataclass
 class PointVarietyIdeal:
     """Vanishing locus data of one side's second differential."""
@@ -48,9 +55,7 @@ class PointVarietyIdeal:
     r: int
 
     def contains_point(self, point):
-        if isinstance(point, ProjPoint):
-            point = point.coords
-        return all(not g.evaluate(point) for g in self.ideal.gens)
+        return _vanishes_at(self.ideal, point)
 
 
 def point_variety(presentation, side, resolutions=None):
@@ -83,9 +88,7 @@ class GeometricPair:
     r_plus_one_ge_n: bool
 
     def contains_point(self, point):
-        if isinstance(point, ProjPoint):
-            point = point.coords
-        return all(not g.evaluate(point) for g in self.ideal.gens)
+        return _vanishes_at(self.ideal, point)
 
 
 def _rank_exactly_one_less(variety, mat, n_minus):

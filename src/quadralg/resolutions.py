@@ -131,16 +131,15 @@ class FreeModuleMap:
         for srow in scalar_rows:
             row = []
             for j in range(self.ncols):
-                acc = None
+                acc = {}
+                deg = max(self.source_shifts[j] - self.target_shifts[0],
+                          0) if self.target_shifts else 0
                 for t, c in enumerate(srow):
-                    if c and self.entries[t][j]:
-                        term = self.entries[t][j].scale(c)
-                        acc = term if acc is None else acc + term
-                if acc is None:
-                    deg = self.source_shifts[j] - self.target_shifts[0] \
-                        if self.target_shifts else 0
-                    acc = AlgebraElement(pres, max(deg, 0), {})
-                row.append(acc)
+                    e = self.entries[t][j]
+                    if c and e:
+                        add_scaled(acc, e.coords, c)
+                        deg = e.degree
+                row.append(AlgebraElement(pres, deg, acc))
             out.append(row)
         return out
 

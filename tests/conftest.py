@@ -61,17 +61,18 @@ def sum_of_squares(pres):
 def right_walk_product(a, b):
     """Reference product a*b: every basis word of b walked letter by letter
     on the right through the step tables, read directly (no left tables,
-    no ``QuadraticPresentation.walk``)."""
+    no ``ResidueTables.walk``)."""
     pres = a.presentation
     zero = pres.field.zero
     out = {}
     for i, c in b.coords.items():
         vec, k = dict(a.coords), a.degree
         for letter in pres.component(b.degree).words[i]:
-            step = pres.component(k + 1).step
+            images = pres.component(k + 1).step[letter]
             nxt = {}
             for j, v in vec.items():
-                for t, x in step.get((j, letter), {}).items():
+                img = images[j]
+                for t, x in zip(img[::2], img[1::2]):
                     nxt[t] = nxt.get(t, zero) + v * x
             vec, k = nxt, k + 1
         for t, v in vec.items():

@@ -17,7 +17,7 @@ from quadralg.algebra import (AlgebraElement, DegreeCapExceeded,
 from quadralg.parsing import parse_presentation_text
 from quadralg.shamash import NotRegularError, shamash
 from quadralg.resolutions import linear_resolution
-from quadralg.exactlinalg import RowSpace, rank_of_columns
+from quadralg.exactlinalg import RowSpace, invert_matrix, rank_of_columns
 from quadralg.scalars import GF, QQ
 from conftest import right_walk_product, sum_of_squares
 
@@ -388,6 +388,58 @@ def test_word_walks_agree_on_dense_relations(case):
     assert GradedAutomorphism(pres, diagonal(lam))(el) == el.scale(power)
     assert convert_element(el, pres) == el
     assert convert_element(el, pres, diagonal(field.one)) == el
+
+
+@st.composite
+def mixing_linear_maps(draw):
+    """k[x, y, z] over QQ or GF(7), an invertible matrix with a row of two
+    or more nonzero entries, a linear form with two or more nonzero
+    coefficients, and two elements of degree at most 3."""
+    field = draw(st.sampled_from([QQ, GF(7)]))
+    pres = QuadraticPresentation.commutative(field, ["mx", "my", "mz"],
+                                             degree_cap=6)
+    coeff = st.integers(-3, 3).map(field)
+    row = st.lists(coeff, min_size=3, max_size=3)
+    matrix = draw(st.lists(row, min_size=3, max_size=3))
+    assume(invert_matrix([list(r) for r in matrix], field) is not None)
+    assume(any(sum(1 for c in r if c) >= 2 for r in matrix))
+    form = draw(row)
+    assume(sum(1 for c in form if c) >= 2)
+
+    def element():
+        d = draw(st.integers(0, 3))
+        coords = draw(st.dictionaries(st.integers(0, pres.dim(d) - 1),
+                                      coeff, max_size=4))
+        return AlgebraElement(pres, d, coords)
+
+    f = AlgebraElement(pres, 1, dict(enumerate(form)))
+    return pres, matrix, f, element(), element()
+
+
+def product_element(a, b):
+    return AlgebraElement(a.presentation, a.degree + b.degree,
+                          right_walk_product(a, b))
+
+
+@settings(max_examples=40, deadline=None)
+@given(mixing_linear_maps())
+def test_convert_element_along_a_mixing_linear_map(case):
+    """An invertible linear map preserves R = the commutators, so the
+    conversion along it is an automorphism; the conversion onto A/(f) for a
+    linear f is the quotient map.  Both are multiplicative, with products
+    from the right walk, and the second sends f to 0."""
+    pres, matrix, f, a, b = case
+    for u in range(pres.n):
+        image = convert_element(pres.generator(u), pres, matrix)
+        assert image.coords == {t: c for t, c in enumerate(matrix[u]) if c}
+    target, subst = pres.quotient_by_linear(f)
+    assert target.n == pres.n - 1
+    assert convert_element(f, target, subst).is_zero()
+    for tgt, linmap in ((pres, matrix), (target, subst)):
+        def conv(e):
+            return convert_element(e, tgt, linmap)
+        assert (conv(product_element(a, b))
+                == product_element(conv(a), conv(b)))
 
 
 def test_interning_keeps_each_cap():

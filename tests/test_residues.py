@@ -77,7 +77,7 @@ def test_residue_tables_reduce_the_rational_tables(pres, p):
         for a in range(pres.n):
             for i in range(pres.dim(d - 1)):
                 assert (_as_dict(tables.step_table(d)[a][i])
-                        == _reduced(step[(i, a)], p))
+                        == _reduced(_as_dict(step[a][i]), p))
                 assert (_as_dict(tables.left_table(d)[a][i])
                         == _reduced(_as_dict(left[a][i]), p))
 
