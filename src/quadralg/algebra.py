@@ -520,29 +520,28 @@ def _rewrite_component(pres, d, prev, prev2):
     order finds every image it needs already built.
     """
     n = pres.n
-    lead = pres._leading_words()
+    # each leading word's rule: the row's other columns (s, t), negated
+    rules = {lw: [(divmod(col, n), -c) for col, c in row.items()
+                  if col != lw[0] * n + lw[1]]
+             for lw, row in pres._leading_words().items()}
     one = pres.field.one
     words = tuple(w + (a,) for w in prev.words for a in range(n)
-                  if (w[-1], a) not in lead)
+                  if (w[-1], a) not in rules)
     index = {w: i for i, w in enumerate(words)}
     step = [[None] * prev.dim for _ in range(n)]
     for c in range(prev.dim * n - 1, -1, -1):
         i, a = divmod(c, n)
         w = prev.words[i]
-        row = lead.get((w[-1], a))
-        if row is None:
+        rule = rules.get((w[-1], a))
+        if rule is None:
             step[a][i] = (index[w + (a,)], one)
             continue
         prefix = prev2.index[w[:-1]]
-        lead_col = w[-1] * n + a
         acc = {}
-        for col, coeff in row.items():
-            if col == lead_col:
-                continue
-            s, t = divmod(col, n)
+        for (s, t), coeff in rule:
             it = iter(prev.step[s][prefix])
             for j, v in zip(it, it):
-                add_ints(acc, step[t][j], -coeff * v)
+                add_ints(acc, step[t][j], coeff * v)
         step[a][i] = tuple(x for j in sorted(acc) if acc[j]
                            for x in (j, acc[j]))
     return GradedComponent(d, words, step)
