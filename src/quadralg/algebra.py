@@ -145,20 +145,10 @@ class QuadraticPresentation:
         nonzero.
         """
         n = len(names)
-        q = [[field(q_matrix[i][j]) for j in range(n)] for i in range(n)]
-        for i in range(n):
-            if q[i][i] != field.one:
-                raise ValueError("skew matrix needs 1 on the diagonal")
-            for j in range(n):
-                if not q[i][j]:
-                    raise ValueError("skew matrix entries must be nonzero")
-                if q[j][i] * q[i][j] != field.one:
-                    raise ValueError("skew matrix needs q_ji = 1/q_ij")
-        rels = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                rels.append({(j, i): field.one, (i, j): -q[i][j]})
-        return cls.create(field, names, rels, degree_cap)
+        if len(q_matrix) != n or any(len(row) != n for row in q_matrix):
+            raise ValueError(f"skew matrix must be {n} x {n}")
+        return cls.create(field, names, skew_relations(field, q_matrix),
+                          degree_cap)
 
     @classmethod
     def commutative(cls, field, names, degree_cap=None):
@@ -248,11 +238,12 @@ class QuadraticPresentation:
     def from_word_coeffs(self, degree, word_coeffs):
         """Element from tensor-word coefficients (projection into A_d)."""
         walk = self.tables().walk
+        one = (0, self.field.one)
         out = {}
         for word, c in word_coeffs.items():
             c = self.field(c)
             if c:
-                add_scaled(out, walk({0: self.field.one}, 0, word, "right"), c)
+                add_ints(out, walk(one, 0, word, "right"), c)
         return AlgebraElement(self, degree, out)
 
     def tables(self, p=None):
@@ -333,6 +324,24 @@ class QuadraticPresentation:
     def __repr__(self):
         return (f"<quadratic algebra k<{', '.join(self.names)}> "
                 f"with {self.r} relations>")
+
+
+def skew_relations(field, q):
+    """The relations x_j x_i - q_ij x_i x_j (i < j) of the skew polynomial
+    algebra with matrix ``q``, as {(u, v): coeff} dicts; ``q`` must satisfy
+    q_ii = 1 and q_ji = 1/q_ij with all entries nonzero."""
+    n = len(q)
+    q = [[field(q[i][j]) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        if q[i][i] != field.one:
+            raise ValueError("skew matrix needs 1 on the diagonal")
+        for j in range(n):
+            if not q[i][j]:
+                raise ValueError("skew matrix entries must be nonzero")
+            if q[j][i] * q[i][j] != field.one:
+                raise ValueError("skew matrix needs q_ji = 1/q_ij")
+    return [{(j, i): field.one, (i, j): -q[i][j]}
+            for i in range(n) for j in range(i + 1, n)]
 
 
 def add_ints(acc, flat, c):
@@ -464,18 +473,17 @@ class ResidueTables:
             images = self._pushed((flat, op) for flat in images)
         return images
 
-    def walk(self, vec, k, word, side):
-        """Multiply the A_k coordinates ``vec`` by ``word`` on ``side``:
+    def walk(self, flat, k, word, side):
+        """Multiply the flat image ``flat`` in A_k by ``word`` on ``side``:
         through the step tables, first letter first ("right"), or through
-        the left tables, last letter first ("left").  Returns coordinates
+        the left tables, last letter first ("left").  Returns the flat image
         in A_{k + len(word)}."""
         table, letters = ((self.step_table, word) if side == "right"
                           else (self.left_table, reversed(word)))
-        flat = tuple(x for item in vec.items() for x in item)
         for letter in letters:
             k += 1
             flat, = self._pushed(((flat, table(k)[letter]),))
-        return dict(zip(flat[::2], flat[1::2]))
+        return flat
 
 
 def _rref_component(pres, d, prev, prev2):
@@ -601,10 +609,10 @@ class AlgebraElement:
             fixed, walker, side = self, other, "right"
         words = pres.component(walker.degree).words
         walk = pres.tables().walk
+        flat = tuple(x for item in fixed.coords.items() for x in item)
         out = {}
         for i, c in walker.coords.items():
-            add_scaled(out, walk(fixed.coords, fixed.degree, words[i], side),
-                       c)
+            add_ints(out, walk(flat, fixed.degree, words[i], side), c)
         return AlgebraElement(pres, self.degree + other.degree, out)
 
     __rmul__ = scale
@@ -619,7 +627,9 @@ class AlgebraElement:
         return self.degree == other.degree and self.coords == other.coords
 
     def __hash__(self):
-        return hash((id(self.presentation), self.degree,
+        # zeros of every degree are equal, so a zero's degree is not hashed
+        return hash((id(self.presentation),
+                     self.degree if self.coords else None,
                      frozenset(self.coords.items())))
 
     def word_coeffs(self):
@@ -840,20 +850,22 @@ def convert_element(element, target, linmap=None):
         raise ValueError("generator counts differ; supply linmap")
     words = src.component(element.degree).words
     walk = target.tables().walk
+    one = (0, target.field.one)
     out = {}
     for i, c in element.coords.items():
-        vec = {0: target.field.one}
         if linmap is None:
-            vec = walk(vec, 0, words[i], "right")
+            flat = walk(one, 0, words[i], "right")
         else:
             # times each letter's linear form sum_u linmap[letter][u] * x_u
+            flat = one
             for k, letter in enumerate(words[i]):
                 nxt = {}
                 for u, cu in enumerate(linmap[letter]):
                     if cu:
-                        add_scaled(nxt, walk(vec, k, (u,), "right"), cu)
-                vec = nxt
-        add_scaled(out, vec, target.field(c))
+                        add_ints(nxt, walk(flat, k, (u,), "right"), cu)
+                flat = tuple(x for item in nxt.items() if item[1]
+                             for x in item)
+        add_ints(out, flat, target.field(c))
     return AlgebraElement(target, element.degree, out)
 
 

@@ -11,8 +11,9 @@ entries c * x_j.
 
 from __future__ import annotations
 
-from .algebra import QuadraticPresentation, convert_element
-from .resolutions import FreeComplex, FreeModuleMap
+from .algebra import QuadraticPresentation
+from .resolutions import (FreeComplex, FreeModuleMap, block_map, diagonal_map,
+                          zero_map)
 
 
 def skew_matrix_of(presentation):
@@ -98,71 +99,20 @@ def cone_extension(cplx, q_column, new_name=None):
                   for t in range(big.n)] for u in range(n)]
     xnew = big.generator(big.n - 1)
     scalars = extension_scalars(q_matrix, q_column)
-
-    def lift_map(m):
-        return FreeModuleMap(
-            big, m.target_shifts, m.source_shifts,
-            [[convert_element(e, big, inclusion) for e in row]
-             for row in m.entries])
-
-    def phi(i):
-        """x_new * diag(scalars[i]): P_i(-1) -> P_i over the big algebra."""
-        if i < 0 or i > n:
-            return None
-        diag = scalars[i]
-        s = len(diag)
-        rows = []
-        for k in range(s):
-            row = []
-            for j in range(s):
-                if k == j:
-                    row.append(xnew.scale(diag[k]))
-                else:
-                    row.append(big.zero_element(1))
-            rows.append(row)
-        return rows
-
+    shifts = cplx.shifts
     length = max(len(cplx.maps), n) + 1
+    d = [cplx.differential(i).converted(big, inclusion)
+         for i in range(length + 1)]
     maps = []
-    old = [lift_map(cplx.differential(i)) for i in range(0, length + 1)]
-
-    def old_shifts(i):
-        if i < 0:
-            return ()
-        if i == 0:
-            return (0,)
-        if i <= len(cplx.maps):
-            return cplx.maps[i - 1].source_shifts
-        return ()
-
     for i in range(1, length + 1):
-        rows_top = old_shifts(i - 1)
-        rows_bot = old_shifts(i)
-        # target generators: P^_{i-1} = P_{i-2}(-1) + P_{i-1}
-        tgt = tuple(s + 1 for s in old_shifts(i - 2)) + rows_top
-        src = tuple(s + 1 for s in rows_top) + rows_bot
-        entries = []
-        phi_prev = phi(i - 1)
-        d_prev = old[i - 1] if i - 1 >= 1 else None
-        d_here = old[i]
-        n_tt = len(old_shifts(i - 2))
-        n_st = len(rows_top)
-        n_sb = len(rows_bot)
-        for k in range(n_tt + len(rows_top)):
-            row = []
-            for j in range(n_st + n_sb):
-                if k < n_tt and j < n_st:
-                    ent = d_prev.entries[k][j] if d_prev else None
-                    row.append(-ent if ent else big.zero_element(1))
-                elif k < n_tt:
-                    row.append(big.zero_element(
-                        max(src[j] - tgt[k], 0)))
-                elif j < n_st:
-                    row.append(phi_prev[k - n_tt][j])
-                else:
-                    row.append(d_here.entries[k - n_tt][j - n_st])
-            entries.append(row)
-        maps.append(FreeModuleMap(big, tgt, src, entries))
+        # phi_{i-1} = x_new * diag(scalars[i-1]): P_{i-1}(-1) -> P_{i-1}
+        phi = diagonal_map(big, shifts(i - 1),
+                           [xnew.scale(c) for c in
+                            (scalars[i - 1] if i <= len(scalars) else ())])
+        maps.append(block_map(big, [
+            [d[i - 1].negate().shifted(1),
+             zero_map(big, [s + 1 for s in shifts(i - 2)], shifts(i))],
+            [phi, d[i]]]))
     out = FreeComplex(big, cplx.side, maps, {"skew_canonical": True})
     for i in range(len(maps) - 1):
         if not maps[i].compose(maps[i + 1]).is_zero():

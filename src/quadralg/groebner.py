@@ -14,7 +14,6 @@ from fractions import Fraction
 from math import gcd
 
 from .polynomials import CommPoly, EliminateLast
-from .scalars import QQ
 
 
 def _tuple_lcm(a, b):
@@ -346,7 +345,7 @@ def groebner(polys_or_ideal, order=None):
 
 
 def _groebner_of(ring, polys, order):
-    p = 0 if ring.field == QQ else ring.field.p
+    p = ring.field.characteristic
     if p:
         ints = [_mod_terms(f, p) for f in polys if f]
     else:
@@ -386,8 +385,7 @@ class Ideal:
         if cached is None:
             if not self.gens:
                 cached = GroebnerBasis(self.ring, order, [],
-                                       0 if self.ring.field == QQ
-                                       else self.ring.field.p)
+                                       self.ring.field.characteristic)
             else:
                 cached = _groebner_of(self.ring, list(self.gens), order)
             memo[key] = cached

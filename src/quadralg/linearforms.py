@@ -120,7 +120,7 @@ class LinearFormMatrix:
         if t > min(s, r):
             return []
         ring = self.ring
-        p = 0 if ring.field == QQ else ring.field.p
+        p = ring.field.characteristic
         shifts = [(t + 1) ** i for i in range(ring.nvars)]
         rows = []
         for row in self.rows:

@@ -19,8 +19,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .algebra import QuadraticPresentation
-from .scalars import field_from_descriptor
+from .algebra import QuadraticPresentation, skew_relations
+from .scalars import field_descriptor, field_from_descriptor
 
 
 class ParseError(ValueError):
@@ -255,30 +255,15 @@ def parse_presentation_text(text, degree_cap=None):
         raise ParseError("missing vars line")
     relations = []
     if skew_rows is not None:
-        n = len(names)
         try:
-            q = [[field(v) for v in row] for row in skew_rows]
+            relations = skew_relations(field, skew_rows)
         except ZeroDivisionError:
             raise ParseError("skew entry has a denominator divisible by "
                              f"{field.characteristic}", skew_at) from None
-        for a in range(n):
-            if q[a][a] != field.one:
-                raise ParseError("skew matrix needs 1 on the diagonal",
-                                 skew_at)
-            for b in range(n):
-                if not q[a][b]:
-                    raise ParseError("skew matrix entries must be nonzero",
-                                     skew_at)
-                if q[a][b] * q[b][a] != field.one:
-                    raise ParseError("skew matrix needs q_ji = 1/q_ij",
-                                     skew_at)
-        for a in range(n):
-            for b in range(a + 1, n):
-                relations.append({(b, a): field.one, (a, b): -q[a][b]})
+        except ValueError as exc:
+            raise ParseError(str(exc), skew_at) from None
     for text_rel, line_no in rel_lines:
         relations.append(parse_relation(text_rel, names, field, line_no))
-    if not relations:
-        relations = []
     return QuadraticPresentation.create(field, names, relations,
                                         degree_cap=degree_cap)
 
@@ -291,7 +276,7 @@ def parse_presentation_file(path, degree_cap=None):
 def presentation_to_text(pres):
     """Render a presentation back to the file format (canonical relations)."""
     from .serialize import render_tensor_relation
-    lines = [f"field {('QQ' if pres.field.characteristic == 0 else pres.field.p)}",
+    lines = [f"field {field_descriptor(pres.field)}",
              "vars " + ", ".join(pres.names)]
     for row in pres.rel_rows:
         lines.append("rel " + render_tensor_relation(pres, row))

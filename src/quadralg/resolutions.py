@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebra import AlgebraElement, GradedAutomorphism, residue_sums
+from .algebra import (AlgebraElement, GradedAutomorphism, convert_element,
+                      residue_sums)
 from .exactlinalg import (ResidueColumns, add_scaled, columns_to_rows,
                           modular_rank, nullspace, over_working_primes,
                           rank_of_columns, solve_batch)
@@ -153,6 +154,22 @@ class FreeModuleMap:
             self.presentation, self.target_shifts, self.source_shifts,
             [[tau(e) if e else e for e in row] for row in self.entries])
 
+    def shifted(self, s):
+        """The same matrix with every shift raised by ``s``."""
+        if s == 0:
+            return self
+        return FreeModuleMap(self.presentation,
+                             (t + s for t in self.target_shifts),
+                             (t + s for t in self.source_shifts),
+                             self.entries)
+
+    def converted(self, target, linmap=None):
+        """The same matrix over ``target``, each entry pushed along the
+        algebra map ``linmap`` by ``convert_element``."""
+        return FreeModuleMap(target, self.target_shifts, self.source_shifts,
+                             [[convert_element(e, target, linmap) for e in row]
+                              for row in self.entries])
+
     def row_offsets(self, e):
         """Where each target generator's block of A_{e - shift} starts in
         the rows of the internal-degree-e scalar matrix; returns (offsets,
@@ -240,6 +257,36 @@ def zero_map(presentation, target_shifts, source_shifts):
                                     max(s - t, 0), {})
                      for s in source_shifts])
     return FreeModuleMap(presentation, target_shifts, source_shifts, rows)
+
+
+def diagonal_map(presentation, shifts, elements):
+    """The map with ``elements[k]`` at (k, k) and zeros elsewhere, into the
+    free module with ``shifts`` from the one with each shift raised by its
+    element's degree."""
+    if len(elements) != len(shifts):
+        raise ValueError("need one element per generator")
+    source = [s + e.degree for s, e in zip(shifts, elements)]
+    return FreeModuleMap(
+        presentation, shifts, source,
+        [[e if j == k else AlgebraElement(presentation, max(s - t, 0), {})
+          for j, s in enumerate(source)]
+         for k, (t, e) in enumerate(zip(shifts, elements))])
+
+
+def block_map(presentation, grid):
+    """The map whose block (r, c) is ``grid[r][c]``: the blocks of a row
+    share their target shifts, and those of a column their source shifts."""
+    top = grid[0]
+    if any(b.target_shifts != row[0].target_shifts
+           or b.source_shifts != t.source_shifts
+           for row in grid for b, t in zip(row, top)):
+        raise ValueError("blocks do not line up")
+    return FreeModuleMap(
+        presentation,
+        [t for row in grid for t in row[0].target_shifts],
+        [s for b in top for s in b.source_shifts],
+        [sum((b.entries[k] for b in row), ())
+         for row in grid for k in range(row[0].nrows)])
 
 
 @dataclass
@@ -358,9 +405,6 @@ class FreeComplex:
             return self
         return FreeComplex(self.presentation, self.side, self.maps[:length],
                            self.meta)
-
-    def verify(self, internal_cap):
-        return verify_complex(self, internal_cap)
 
     def __repr__(self):
         return (f"<{self.side} free complex over "

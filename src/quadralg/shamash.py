@@ -4,9 +4,12 @@ Given a minimal resolution P of the trivial module over A and a regular
 normal element f with normalizing automorphism sigma (tau = sigma^{-1}),
 multiplication by f is a null-homotopic chain map; lifting it gives c^1, and
 iterating zeta^n = -sum_{0<i<n} c^i (tau^i . c^{n-i}) gives the whole tower
-c^n.  The block upper-triangular differentials assembled from the tower,
-with entries reduced into B = A/(f), resolve the trivial B-module; for
-Koszul A and deg f >= 2 the result is minimal.
+c^n.  One splitting term, c^i (tau^i . c^{n-i}), serves zeta, the right-hand
+side of each lift and both identity checks.  The differential d_i over
+B = A/(f) is block upper-triangular: its block in row l2 and column l1 is
+tau^{l2} . c^{l1-l2} for l1 >= l2, shifted and converted into B, and zero
+below the diagonal.  These resolve the trivial B-module; for Koszul A and
+deg f >= 2 the result is minimal.
 
 Each lift solves an exact linear system degree by degree; the deterministic
 choice is the echelon particular solution with free parameters zero.
@@ -14,11 +17,11 @@ choice is the echelon particular solution with free parameters zero.
 
 from __future__ import annotations
 
-from .algebra import (AlgebraElement, NormalityUndecided, convert_element,
-                      is_normal, is_regular_up_to)
+from .algebra import (AlgebraElement, NormalityUndecided, is_normal,
+                      is_regular_up_to)
 from .exactlinalg import columns_to_rows, solve_batch
-from .resolutions import (FreeComplex, FreeModuleMap, verify_complex,
-                          zero_map)
+from .resolutions import (FreeComplex, FreeModuleMap, block_map, diagonal_map,
+                          verify_complex, zero_map)
 
 
 class NotNormalError(ValueError):
@@ -36,31 +39,6 @@ class HomotopyLiftError(RuntimeError):
 
 class InvariantBreach(RuntimeError):
     """A property the construction guarantees failed to verify; internal error."""
-
-
-def _shifted(fmap, s):
-    if s == 0:
-        return fmap
-    return FreeModuleMap(fmap.presentation,
-                         tuple(t + s for t in fmap.target_shifts),
-                         tuple(t + s for t in fmap.source_shifts),
-                         fmap.entries)
-
-
-def _diag_map(presentation, shifts, element):
-    """element * identity on a free module with the given shifts."""
-    m = element.degree
-    rows = []
-    for k, t in enumerate(shifts):
-        row = []
-        for j, s in enumerate(shifts):
-            if k == j:
-                row.append(element)
-            else:
-                row.append(presentation.zero_element(m))
-        rows.append(row)
-    return FreeModuleMap(presentation, shifts,
-                         tuple(s + m for s in shifts), rows)
 
 
 def lift_against(d_next, rhs):
@@ -129,17 +107,12 @@ class HomotopyTower:
         self.cmaps = {}
         self.max_k = max_k
         self.solved_length = 0
-        self._tau_powers = {0: None}
+        self._tau_powers = {}
 
     def tau_power(self, k):
         if k not in self._tau_powers:
             self._tau_powers[k] = self.tau.power(k)
         return self._tau_powers[k]
-
-    def _twist(self, fmap, k):
-        if k == 0:
-            return fmap
-        return fmap.twist(self.tau_power(k))
 
     def c(self, k, l):
         """c^k_l as a graded map P_l(-k m) -> P_{l+2k-1}; c^0 = d."""
@@ -157,54 +130,47 @@ class HomotopyTower:
         return zero_map(P.presentation, P.shifts(l + 2 * k - 1),
                         tuple(s + k * self.m for s in P.shifts(l)))
 
+    def _twisted(self, k, l, i):
+        """tau^i . c^k_l with its shifts raised by i m."""
+        return self.c(k, l).twist(self.tau_power(i)).shifted(i * self.m)
+
+    def _term(self, i, n, l):
+        """c^i_{l+2(n-i)-1} o (tau^i . c^{n-i}_l): the i-th term of the
+        splitting sum at index l."""
+        return self.c(i, l + 2 * (n - i) - 1).compose(
+            self._twisted(n - i, l, i))
+
     def zeta(self, n, l):
         """zeta^n_l: f*I for n = 1, else -sum_{0<i<n} c^i (tau^i . c^{n-i})."""
-        P = self.P
         if n == 1:
-            return _diag_map(P.presentation, P.shifts(l), self.f)
-        total = None
-        for i in range(1, n):
-            inner = _shifted(self._twist(self.c(n - i, l), i), i * self.m)
-            outer = self.c(i, l + 2 * (n - i) - 1)
-            term = outer.compose(inner)
-            total = term if total is None else total.add(term)
+            shifts = self.P.shifts(l)
+            return diagonal_map(self.P.presentation, shifts,
+                                [self.f] * len(shifts))
+        total = self._term(1, n, l)
+        for i in range(2, n):
+            total = total.add(self._term(i, n, l))
         return total.negate()
 
     def solve(self, length):
         """Fill c^k_l for 2k <= length + 1, l in the solvable range."""
-        P = self.P
         self.solved_length = length
         for k in range(1, self.max_k + 1):
             for l in range(0, length - 2 * k + 2):
-                z = self.zeta(k, l)
-                rhs = z
-                if l >= 1:
-                    prev = self.c(k, l - 1)
-                    inner = _shifted(self._twist(P.differential(l), k),
-                                     k * self.m)
-                    rhs = z.sub(prev.compose(inner))
-                d_next = P.differential(l + 2 * k - 1)
+                rhs = self.zeta(k, l).sub(self._term(k, k, l))
+                d_next = self.P.differential(l + 2 * k - 1)
                 self.cmaps[(k, l)] = lift_against(d_next, rhs)
 
     def homotopy_identity_holds(self, k, l):
         """zeta^k_l == c^k_{l-1} (tau^k . d_l) + d_{l+2k-1} c^k_l."""
-        z = self.zeta(k, l)
-        total = self.P.differential(l + 2 * k - 1).compose(self.c(k, l))
-        if l >= 1:
-            inner = _shifted(self._twist(self.P.differential(l), k),
-                             k * self.m)
-            total = total.add(self.c(k, l - 1).compose(inner))
-        return z.sub(total).is_zero()
+        total = self._term(k, k, l).add(self._term(0, k, l))
+        return self.zeta(k, l).sub(total).is_zero()
 
     def splitting_sum(self, n, l):
         """sum_{0<=i<=n} c^i (tau^i . c^{n-i}) at index l (0 for n >= 2,
         zeta^1 for n = 1)."""
-        total = None
-        for i in range(0, n + 1):
-            inner = _shifted(self._twist(self.c(n - i, l), i), i * self.m)
-            outer = self.c(i, l + 2 * (n - i) - 1)
-            term = outer.compose(inner)
-            total = term if total is None else total.add(term)
+        total = self._term(0, n, l)
+        for i in range(1, n + 1):
+            total = total.add(self._term(i, n, l))
         return total
 
     def splitting_identity_holds(self, n, l):
@@ -214,13 +180,13 @@ class HomotopyTower:
         return s.is_zero()
 
 
-def shamash(presentation, P, f, length=None, internal_cap=None,
-            regularity_cap=None, check=True):
+def shamash(presentation, P, f, length=None, internal_cap=None):
     """Free resolution of the trivial module over B = A/(f) from one over A.
 
     Returns (complex over B, homotopy tower).  Verifies composite-zero and
-    exactness up to the internal cap; raises InvariantBreach if they fail,
-    NotNormalError / NotRegularError when f does not qualify.
+    exactness up to the internal cap (the presentation's degree cap when
+    None); raises InvariantBreach if they fail, NotNormalError /
+    NotRegularError when f does not qualify.
     """
     if f.presentation is not presentation or P.presentation is not presentation:
         raise ValueError("presentation mismatch")
@@ -228,6 +194,8 @@ def shamash(presentation, P, f, length=None, internal_cap=None,
         raise ValueError("zero element")
     if length is not None and length < 1:
         raise ValueError("length must be >= 1")
+    if internal_cap is not None and internal_cap < 0:
+        raise ValueError("internal_cap must be >= 0")
     m = f.degree
     if m > 2:
         raise NotImplementedError(
@@ -246,9 +214,8 @@ def shamash(presentation, P, f, length=None, internal_cap=None,
         linmap = None
     else:
         B, linmap = presentation.quotient_by_linear(f)
-    cap = internal_cap or presentation.degree_cap
-    if regularity_cap is None:
-        regularity_cap = max(cap - m, 0)
+    cap = presentation.degree_cap if internal_cap is None else internal_cap
+    regularity_cap = max(cap - m, 0)
     if not is_regular_up_to(f, regularity_cap):
         raise NotRegularError(
             f"element is a zero divisor within degree {regularity_cap}")
@@ -256,57 +223,31 @@ def shamash(presentation, P, f, length=None, internal_cap=None,
     tower = HomotopyTower(P, f, sigma, max_k=L // 2)
     tower.solve(L)
 
-    def to_b(e):
-        return convert_element(e, B, linmap)
+    def block(i, l1, l2):
+        """The block P_{i-2 l1}(-l1 m) -> P_{i-1-2 l2}(-l2 m) of d_i over B:
+        tau^{l2} . c^{l1-l2}, zero below the diagonal."""
+        if l1 < l2:
+            return zero_map(B, [s + l2 * m for s in P.shifts(i - 1 - 2 * l2)],
+                            [s + l1 * m for s in P.shifts(i - 2 * l1)])
+        return tower._twisted(l1 - l2, i - 2 * l1, l2).converted(B, linmap)
 
-    maps = []
-    for i in range(1, L + 1):
-        col_blocks = list(range(0, i // 2 + 1))
-        row_blocks = list(range(0, (i - 1) // 2 + 1))
-        tgt = []
-        for l2 in row_blocks:
-            tgt.extend(s + l2 * m for s in P.shifts(i - 1 - 2 * l2))
-        src = []
-        for l1 in col_blocks:
-            src.extend(s + l1 * m for s in P.shifts(i - 2 * l1))
-        entries = [[None] * len(src) for _ in tgt]
-        r_off = 0
-        for l2 in row_blocks:
-            rows_here = len(P.shifts(i - 1 - 2 * l2))
-            c_off = 0
-            for l1 in col_blocks:
-                cols_here = len(P.shifts(i - 2 * l1))
-                if l1 >= l2:
-                    block = tower.c(l1 - l2, i - 2 * l1)
-                    block = _shifted(tower._twist(block, l2), l2 * m)
-                    for k in range(rows_here):
-                        for j in range(cols_here):
-                            entries[r_off + k][c_off + j] = \
-                                to_b(block.entries[k][j])
-                else:
-                    for k in range(rows_here):
-                        for j in range(cols_here):
-                            deg = src[c_off + j] - tgt[r_off + k]
-                            entries[r_off + k][c_off + j] = \
-                                B.zero_element(max(deg, 0))
-                c_off += cols_here
-            r_off += rows_here
-        maps.append(FreeModuleMap(B, tuple(tgt), tuple(src), entries))
+    maps = [block_map(B, [[block(i, l1, l2) for l1 in range(i // 2 + 1)]
+                          for l2 in range((i - 1) // 2 + 1)])
+            for i in range(1, L + 1)]
     out = FreeComplex(B, P.side, maps, {"tower": tower,
                                         "quotient_of": presentation})
-    if check:
-        report = verify_complex(out, cap)
-        out.meta["verification"] = report
-        if not report.all_composites_zero:
-            raise InvariantBreach("quotient complex has a nonzero composite")
-        bad = [key for key, dim in report.homology.items() if dim]
-        bad += [e for e, ok in report.augmentation.items() if not ok]
-        if bad:
-            raise InvariantBreach(
-                f"quotient complex not exact at truncation: {bad[:3]}")
-        p_report = P.meta.get("verification")
-        if (m >= 2 and p_report is not None and p_report.is_exact()
-                and not report.minimal):
-            raise InvariantBreach("expected a minimal resolution for a "
-                                  "Koszul base and deg f >= 2")
+    report = verify_complex(out, cap)
+    out.meta["verification"] = report
+    if not report.all_composites_zero:
+        raise InvariantBreach("quotient complex has a nonzero composite")
+    bad = [key for key, dim in report.homology.items() if dim]
+    bad += [e for e, ok in report.augmentation.items() if not ok]
+    if bad:
+        raise InvariantBreach(
+            f"quotient complex not exact at truncation: {bad[:3]}")
+    p_report = P.meta.get("verification")
+    if (m >= 2 and p_report is not None and p_report.is_exact()
+            and not report.minimal):
+        raise InvariantBreach("expected a minimal resolution for a "
+                              "Koszul base and deg f >= 2")
     return out, tower

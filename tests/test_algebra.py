@@ -86,6 +86,12 @@ def test_skew_hilbert_series():
         assert pres.dim(d) == comb(3 + d - 1, d)
 
 
+@pytest.mark.parametrize("q", [[[1] * 3] * 3, [[1], [1]], [[1, 1], [1]]])
+def test_skew_matrix_must_match_the_generators(q):
+    with pytest.raises(ValueError, match="2 x 2"):
+        QuadraticPresentation.skew(QQ, ["x", "y"], q)
+
+
 def test_degree_cap_enforced():
     pres = QuadraticPresentation.commutative(QQ, ["capu", "capw"],
                                              degree_cap=4)
@@ -113,6 +119,12 @@ def test_multiply_unit_and_relation(quantum_plane):
     assert x * one == x
     # xy = 2yx as classes in A_2
     assert (x * y) == (y * x).scale(2)
+
+
+def test_equal_zero_elements_hash_alike(quantum_plane):
+    zeros = [quantum_plane.zero_element(d) for d in (0, 1, 2)]
+    assert zeros[1] == zeros[2]
+    assert len(set(zeros)) == 1
 
 
 def test_multiply_commutative_symmetry():

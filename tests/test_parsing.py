@@ -71,6 +71,21 @@ def test_parse_skew_validation():
         parse_presentation_text("vars x, y\nskew\n1 0\n0 1\n")
 
 
+@pytest.mark.parametrize("rows,message", [
+    ("2 1\n1 1", "skew matrix needs 1 on the diagonal"),
+    ("1 0\n0 1", "skew matrix entries must be nonzero"),
+    ("1 2\n3 1", "skew matrix needs q_ji = 1/q_ij"),
+])
+def test_skew_messages_agree_at_both_entry_points(rows, message):
+    q = [[Fraction(v) for v in row.split()] for row in rows.splitlines()]
+    with pytest.raises(ValueError) as direct:
+        QuadraticPresentation.skew(QQ, ["x", "y"], q)
+    assert str(direct.value) == message
+    with pytest.raises(ParseError) as parsed:
+        parse_presentation_text(f"vars x, y\nskew\n{rows}\n")
+    assert str(parsed.value) == f"{message} at line 2"
+
+
 def test_parse_prime_field():
     pres = parse_presentation_text("field 7\nvars x, y\nrel x*y - 3*y*x\n")
     assert pres.field == GF(7)

@@ -7,9 +7,10 @@ import pytest
 from quadralg.algebra import GradedAutomorphism, QuadraticPresentation
 from quadralg.exactlinalg import MODULAR_PRIMES, exact_rank, residue
 from quadralg.resolutions import (FreeComplex, FreeModuleMap,
-                                  NonlinearKernelError, geometry_ring,
+                                  NonlinearKernelError, block_map,
+                                  diagonal_map, geometry_ring,
                                   linear_resolution, scalar_chain_isomorphism,
-                                  twist_complex, verify_complex)
+                                  twist_complex, verify_complex, zero_map)
 from quadralg.scalars import QQ
 from conftest import (quotient_resolutions, reference_degree_columns,
                       sum_of_squares)
@@ -121,6 +122,24 @@ def test_nonlinear_kernel_raises():
         linear_resolution(pres, "right", 4, check="raise")
     reported = linear_resolution(pres, "right", 4, check="report")
     assert not reported.meta["verification"].is_exact()
+
+
+def test_block_map_assembles_a_grid_and_refuses_misaligned_blocks(
+        quantum_plane):
+    x, y = quantum_plane.generator(0), quantum_plane.generator(1)
+    d1 = FreeModuleMap(quantum_plane, (0,), (1, 1), [[x, y]])
+    diag = diagonal_map(quantum_plane, (1, 1), [x, y.scale(3)])
+    assert diag.source_shifts == (2, 2)
+    assert diag.entries[0][0] == x and not diag.entries[0][1]
+    grid = [[d1.shifted(1), zero_map(quantum_plane, (1,), (2,))],
+            [diag, zero_map(quantum_plane, (1, 1), (2,))]]
+    whole = block_map(quantum_plane, grid)
+    assert whole.target_shifts == (1, 1, 1)
+    assert whole.source_shifts == (2, 2, 2)
+    assert whole.entries[0][:2] == (x, y)
+    assert whole.entries[2][1] == y.scale(3)
+    with pytest.raises(ValueError, match="line up"):
+        block_map(quantum_plane, [[d1], [diag]])
 
 
 def test_twist_complex_properties(quantum_plane):

@@ -106,6 +106,23 @@ def test_tower_identities_and_splitting_sums():
             assert tower.splitting_identity_holds(n, l)
 
 
+def test_tower_identities_on_a_twisted_tower():
+    """In the skew algebra with parameters 2, 3, 5, f = x1*x2 has
+    sigma = diag(2, 1/2, 1/15), so every c^k with k >= 1 meets a twist
+    tau^i that is not the identity."""
+    A = _generic_skew3()
+    f = A.generator(0) * A.generator(1)
+    half, fifteenth = Fraction(1, 2), Fraction(1, 15)
+    assert is_normal(f).matrix == ((2, 0, 0), (0, half, 0),
+                                   (0, 0, fifteenth))
+    _, towers = quotient_resolutions(A, f, length=6)
+    for tower in towers.values():
+        assert not tower.tau.is_identity()
+        for k in range(1, tower.max_k + 1):
+            for l in range(0, tower.solved_length - 2 * k + 2):
+                assert tower.homotopy_identity_holds(k, l)
+
+
 def test_twist_commutation_invariant(case3_algebra):
     """sigma-twisting then multiplying by f equals left f-multiplication."""
     f = sum_of_squares(case3_algebra)
@@ -125,6 +142,16 @@ def test_rank_formula_case3(case3_algebra):
     assert T.ranks() == expect
     assert T.meta["verification"].is_exact()
     assert T.meta["verification"].minimal
+
+
+def test_internal_cap_zero_is_a_cap_and_negative_is_refused():
+    A = QuadraticPresentation.commutative(QQ, ["x", "y"])
+    P = linear_resolution(A, "right", 4)
+    x, y = A.generator(0), A.generator(1)
+    T, _ = shamash(A, P, x * x + y * y, internal_cap=0)
+    assert T.meta["verification"].internal_cap == 0
+    with pytest.raises(ValueError, match="internal_cap"):
+        shamash(A, P, x * x + y * y, internal_cap=-1)
 
 
 def test_shamash_rejects_non_normal(sec5_algebra):
