@@ -13,9 +13,8 @@ from .groebner import (Ideal, radical_member, variety_equal,
                        projective_empty, intersect, intersect_all)
 from .linearforms import ProjPoint, LinearFormMatrix
 from .algebra import (QuadraticPresentation, AlgebraElement,
-                      GradedAutomorphism, NormalityUndecided, is_normal,
-                      is_regular_up_to, convert_element, opposite_element,
-                      DegreeCapExceeded)
+                      GradedAutomorphism, is_normal, is_regular_up_to,
+                      convert_element, opposite_element, DegreeCapExceeded)
 from .resolutions import (FreeComplex, FreeModuleMap, linear_resolution,
                           verify_complex, twist_complex,
                           scalar_chain_isomorphism, NonlinearKernelError)

@@ -45,8 +45,8 @@ from __future__ import annotations
 import weakref
 
 from .exactlinalg import (RowSpace, add_scaled, columns_to_rows,
-                          invert_matrix, mat_mul, nullspace, rank_of_columns,
-                          residue, solve_batch)
+                          invert_matrix, mat_mul, rank_of_columns, residue,
+                          solve_batch)
 from .scalars import field_descriptor
 
 DEFAULT_DEGREE_CAP = 8
@@ -738,22 +738,27 @@ class GradedAutomorphism:
         return f"GradedAutomorphism({self.matrix})"
 
 
+class NotRegularError(ValueError):
+    """f is a zero divisor: left or right multiplication by f has a kernel."""
+
+
 def is_regular_up_to(f, d_max):
     """Left and right multiplication by f injective on A_i for i <= d_max.
 
-    For a normal f of degree 1 or 2, with f*a = sigma(a)*f, no rank is
-    needed.  Then A*f = f*A, so (f)_{i+m} = f*A_i is the image of L_f on A_i
-    and dim B_{i+m} = dim A_{i+m} - rank(L_f on A_i) for B = A/(f).  Also
-    L_f = R_f o sigma with sigma invertible on A_i, so both sides have the
-    same rank, and both are injective on A_i exactly when
+    A normal f of degree 1 or 2 (``span_normal``) needs no rank on A_i and
+    no sigma.  Then A*f = f*A, so (f)_{i+m} = f*A_i = A_i*f is the image
+    of both L_f and R_f on A_i, and dim B_{i+m} = dim A_{i+m} - dim (f)_{i+m}
+    for B = A/(f).  Both are injective on A_i exactly when
     dim B_{i+m} = dim A_{i+m} - dim A_i.  Any other f is checked by the ranks
     of both multiplication maps.
     """
     if not f:
         raise ValueError("zero element is never regular")
+    if d_max < 0:
+        raise ValueError("degree must be >= 0")
     pres = f.presentation
     m = f.degree
-    if m in (1, 2) and isinstance(is_normal(f), GradedAutomorphism):
+    if m in (1, 2) and span_normal(f):
         B = pres.quotient(f) if m == 2 else pres.quotient_by_linear(f)[0]
         return all(B.dim(i + m) == pres.dim(i + m) - pres.dim(i)
                    for i in range(d_max + 1))
@@ -773,32 +778,45 @@ def is_regular_up_to(f, d_max):
     return True
 
 
-class NormalityUndecided:
-    """``is_normal``'s answer when no candidate passed but sigma is not
-    unique: some linear form l has l*f = 0, so f is not regular either way.
-    Falsy, like "not normal", so that no caller mistakes it for sigma."""
-
-    __slots__ = ("reason",)
-
-    def __init__(self, reason):
-        self.reason = reason
-
-    def __bool__(self):
-        return False
+def _degree_one_products(f):
+    """The columns x_u*f and the columns f*x_j, in A_{m+1}."""
+    gens = [f.presentation.generator(u) for u in range(f.presentation.n)]
+    return [(x * f).coords for x in gens], [(f * x).coords for x in gens]
 
 
-def is_normal(f):
-    """The normalizing automorphism sigma with f x_j = sigma(x_j) f, if any.
+def span_normal(f):
+    """Whether f is normal, A*f = f*A.
 
-    Solves the linear systems in A_{m+1}; the candidate must be invertible
-    and preserve R.  For regular f the solution is unique and the answer is
-    sigma or None.  When u -> x_u f has a kernel, only the particular
-    solution and its shifts by each kernel vector are tried; if none passes,
-    the answer is a ``NormalityUndecided``.  The answer is memoized per
-    presentation by f's degree and coordinates.
+    A is generated in degree 1, so this holds exactly when A_1*f = f*A_1 in
+    A_{m+1}: the columns x_u*f, the columns f*x_j and both together have one
+    rank, exact in the field's own scalars (a rank mod p is only a lower
+    bound, so it cannot certify an equality).  Memoized per presentation.
     """
     if not f:
         raise ValueError("zero element")
+    pres = f.presentation
+    key = ("normal", f.degree, frozenset(f.coords.items()))
+    cache = pres._cache
+    if key not in cache:
+        dim = pres.dim(f.degree + 1)
+        left, right = _degree_one_products(f)
+        both = rank_of_columns(left + right, dim, pres.field)
+        cache[key] = (rank_of_columns(left, dim, pres.field) == both
+                      == rank_of_columns(right, dim, pres.field))
+    return cache[key]
+
+
+def is_normal(f):
+    """The normalizing automorphism sigma with f x_j = sigma(x_j) f, or None
+    when f is not normal (``span_normal`` is False).
+
+    sigma is solved in A_{m+1} and memoized beside the span verdict.  It is
+    unique when u -> x_u f is injective, and then invertible.  A normal f
+    with a kernel on A_1, or whose sigma moves a relation r off R (then
+    sigma(r) f = f r = 0), is a zero divisor: ``NotRegularError``.
+    """
+    if not span_normal(f):
+        return None
     key = ("sigma", f.degree, frozenset(f.coords.items()))
     cache = f.presentation._cache
     if key not in cache:
@@ -810,32 +828,20 @@ def _normalizing_automorphism(f):
     pres = f.presentation
     n = pres.n
     field = pres.field
-    m = f.degree
-    dim = pres.component(m + 1).dim
-    rows = columns_to_rows([(pres.generator(u) * f).coords
-                            for u in range(n)], dim)
-    rhs = [(f * pres.generator(j)).coords for j in range(n)]
-    sols = solve_batch(rows, n, rhs, field)
-    if any(s is None for s in sols):
-        return None
-    candidates = [[[sols[j].get(u, field.zero) for j in range(n)]
-                   for u in range(n)]]
-    kernel = nullspace(rows, n, field)
-    for kv in kernel:
-        shifted = [[candidates[0][u][j] + kv.get(u, field.zero)
-                    for j in range(n)] for u in range(n)]
-        candidates.append(shifted)
-    for mat in candidates:
-        if invert_matrix(mat, field) is None:
-            continue
-        sigma = GradedAutomorphism(pres, mat, _checked=True)
-        if sigma._preserves_relations():
-            return sigma
-    if kernel:
-        return NormalityUndecided(
-            f"the linear forms l with l*f = 0 span dimension {len(kernel)}, "
-            "so sigma is not unique and f is not regular")
-    return None
+    dim = pres.dim(f.degree + 1)
+    left, right = _degree_one_products(f)
+    if rank_of_columns(left, dim, field) < n:
+        raise NotRegularError("zero divisor: l*f = 0 for a linear l != 0")
+    sols = solve_batch(columns_to_rows(left, dim), n, right, field)
+    mat = [[sols[j].get(u, field.zero) for j in range(n)] for u in range(n)]
+    # rank(f*x_j) = rank(x_u*f) = n, so sigma is injective
+    if invert_matrix(mat, field) is None:
+        raise RuntimeError("sigma is singular, yet the x_u*f are independent")
+    sigma = GradedAutomorphism(pres, mat, _checked=True)
+    if not sigma._preserves_relations():
+        raise NotRegularError("zero divisor: sigma(r)*f = f*r = 0 for some "
+                              "r in R with sigma(r) not in R")
+    return sigma
 
 
 def convert_element(element, target, linmap=None):

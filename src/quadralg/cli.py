@@ -19,19 +19,20 @@ from fractions import Fraction
 
 from . import __version__
 from .algebra import (DEFAULT_DEGREE_CAP, DegreeCapExceeded,
-                      NormalityUndecided, is_normal, is_regular_up_to)
+                      NotRegularError, is_normal, is_regular_up_to,
+                      opposite_element, span_normal)
 from .geometry import (check_g1, check_point_exact, point_variety,
                        sigma_at, _small_box, _small_points_on)
 from .groebner import variety_equal
 from .linearforms import ProjPoint, geometry_ring
 from .parsing import (ParseError, parse_element, parse_presentation_file,
                       presentation_to_text)
-from .resolutions import NonlinearKernelError, linear_resolution
+from .resolutions import FreeComplex, NonlinearKernelError, linear_resolution
 from .serialize import (complex_to_dict, ideal_strings,
                         point_exact_report_to_dict, point_to_strings,
                         render_element, verification_to_dict)
 from .shamash import (HomotopyLiftError, InvariantBreach, NotNormalError,
-                      NotRegularError, shamash)
+                      shamash)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -311,6 +312,8 @@ def _cmd_sigma(args, pres, cap, lift):
     if len(pt) != len(pres.names):
         raise ParseError(f"point needs {len(pres.names)} coordinates, "
                          f"got {len(pt)}")
+    if not pair.contains_point(pt):
+        raise ParseError(f"{pt} is not on E, where sigma is defined")
     image = sigma_at(pair, pt)
     results = {"g1": True, "point": point_to_strings(pt),
                "sigma": point_to_strings(image)}
@@ -369,33 +372,26 @@ def main(argv=None):
 
 
 def _run_shamash(args, pres, cap, f):
+    """Normal (span), then regular (dimensions), then sigma (unique)."""
     lift = render_element(f)
-    sigma = is_normal(f)
-    results = {"element_canonical_lift": lift,
-               "normal": sigma is not None}
-    lines = [f"element (canonical lift): {lift}",
-             f"normal: {sigma is not None}"]
-    if isinstance(sigma, NormalityUndecided):
-        results["normal"] = None
-        results["normal_undecided"] = sigma.reason
-        lines[-1] = f"normal: null ({sigma.reason})"
-    if not sigma:
+    normal = span_normal(f)
+    results = {"element_canonical_lift": lift, "normal": normal}
+    lines = [f"element (canonical lift): {lift}", f"normal: {normal}"]
+    if not normal:
         _emit(args, _config(args, cap, lift), results, lines)
         return EXIT_OK
-    results["normalizing_matrix"] = [[str(c) for c in row]
-                                     for row in sigma.matrix]
-    results["regular_up_to"] = {}
     # held through the sides loop: the regularity check builds B's
     # components, and the right side's shamash gets this interned B back
     B = pres.quotient(f)
-    reg = is_regular_up_to(f, max(cap - 2, 0))
-    results["regular_up_to"][str(max(cap - 2, 0))] = reg
-    lines.append(f"regular up to degree {max(cap - 2, 0)}: {reg}")
+    d = cap - 2  # _load keeps cap >= length + 2 >= 3
+    reg = is_regular_up_to(f, d)
+    results["regular_up_to"] = {str(d): reg}
+    lines.append(f"regular up to degree {d}: {reg}")
     if not reg:
         _emit(args, _config(args, cap, lift), results, lines)
         return EXIT_OK
-    from .algebra import opposite_element
-    from .resolutions import FreeComplex
+    results["normalizing_matrix"] = [[str(c) for c in row]
+                                     for row in is_normal(f).matrix]
     for side in _sides(args):
         try:
             if side == "right":

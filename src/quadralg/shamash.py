@@ -17,7 +17,7 @@ choice is the echelon particular solution with free parameters zero.
 
 from __future__ import annotations
 
-from .algebra import (AlgebraElement, NormalityUndecided, is_normal,
+from .algebra import (AlgebraElement, NotRegularError, is_normal,
                       is_regular_up_to)
 from .exactlinalg import columns_to_rows, solve_batch
 from .resolutions import (FreeComplex, FreeModuleMap, block_map, diagonal_map,
@@ -25,10 +25,6 @@ from .resolutions import (FreeComplex, FreeModuleMap, block_map, diagonal_map,
 
 
 class NotNormalError(ValueError):
-    pass
-
-
-class NotRegularError(ValueError):
     pass
 
 
@@ -185,8 +181,9 @@ def shamash(presentation, P, f, length=None, internal_cap=None):
 
     Returns (complex over B, homotopy tower).  Verifies composite-zero and
     exactness up to the internal cap (the presentation's degree cap when
-    None); raises InvariantBreach if they fail, NotNormalError /
-    NotRegularError when f does not qualify.
+    None); raises InvariantBreach if they fail.  ``is_normal`` then the
+    regularity check: NotNormalError when f is not normal, NotRegularError
+    when f is a zero divisor within the cap.
     """
     if f.presentation is not presentation or P.presentation is not presentation:
         raise ValueError("presentation mismatch")
@@ -202,8 +199,6 @@ def shamash(presentation, P, f, length=None, internal_cap=None):
             "quotients by elements of degree > 2 leave the quadratic "
             "presentation layer")
     sigma = is_normal(f)
-    if isinstance(sigma, NormalityUndecided):
-        raise NotRegularError(sigma.reason)
     if sigma is None:
         raise NotNormalError("element is not normal (no normalizing "
                              "automorphism exists)")

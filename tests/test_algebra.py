@@ -9,15 +9,16 @@ from hypothesis import assume, find, given, settings, strategies as st
 
 from quadralg import algebra
 from quadralg.algebra import (AlgebraElement, DegreeCapExceeded,
-                              GradedAutomorphism,
-                              NormalityUndecided, QuadraticPresentation,
-                              _rewrite_component, _rref_component,
-                              convert_element, is_normal, is_regular_up_to,
-                              opposite_element)
+                              GradedAutomorphism, NotRegularError,
+                              QuadraticPresentation, _rewrite_component,
+                              _rref_component, convert_element, is_normal,
+                              is_regular_up_to, opposite_element,
+                              span_normal)
 from quadralg.parsing import parse_presentation_text
-from quadralg.shamash import NotRegularError, shamash
+from quadralg.shamash import shamash
 from quadralg.resolutions import linear_resolution
-from quadralg.exactlinalg import RowSpace, invert_matrix, rank_of_columns
+from quadralg.exactlinalg import (RowSpace, columns_to_rows, invert_matrix,
+                                  rank_of_columns, solve_batch)
 from quadralg.scalars import GF, QQ
 from conftest import right_walk_product, sum_of_squares
 
@@ -159,14 +160,19 @@ def test_is_regular_examples(quantum_plane, case3_algebra):
     assert is_regular_up_to(x, 4)
     f = sum_of_squares(case3_algebra)
     assert is_regular_up_to(f, 4)
-    # x^2 in k<x,y>/(xy, yx): NormalityUndecided, so the ranks decide
+    # x^2 in k<x,y>/(xy, yx) is normal and a zero divisor: the dimensions
+    # decide, and sigma is not unique
     xy_yx = QuadraticPresentation.create(QQ, ["x", "y"],
                                          [{(0, 1): 1}, {(1, 0): 1}])
     x2 = xy_yx.generator(0) * xy_yx.generator(0)
-    assert isinstance(is_normal(x2), NormalityUndecided)
+    assert span_normal(x2)
     assert not is_regular_up_to(x2, 4)
+    with pytest.raises(NotRegularError):
+        is_normal(x2)
     with pytest.raises(ValueError):
         is_regular_up_to(quantum_plane.zero_element(1), 3)
+    with pytest.raises(ValueError, match="degree"):
+        is_regular_up_to(x, -3)
 
 
 @st.composite
@@ -206,7 +212,7 @@ def multiplication_ranks_full(f, d_max):
 @settings(max_examples=80)
 @given(normal_monomials())
 def test_regularity_of_normal_elements_from_the_hilbert_function(f):
-    assume(f and isinstance(is_normal(f), GradedAutomorphism))
+    assume(f and span_normal(f))
     d = f.presentation.degree_cap - f.degree
     expected = multiplication_ranks_full(f, d)
     def no_rank(*args):
@@ -215,6 +221,60 @@ def test_regularity_of_normal_elements_from_the_hilbert_function(f):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(algebra, "rank_of_columns", no_rank)
         assert is_regular_up_to(f, d) == expected
+
+
+@st.composite
+def monomial_binomials(draw):
+    """A monomial f of ``normal_monomials`` plus c times another monomial
+    of its degree in the same algebra (c = 0 keeps f), so that normal and
+    non-normal elements, regular or not, all arise."""
+    f = draw(normal_monomials())
+    pres = f.presentation
+    g = pres.one()
+    for u in draw(st.lists(st.integers(0, pres.n - 1), min_size=f.degree,
+                           max_size=f.degree)):
+        g = g * pres.generator(u)
+    return f + g.scale(draw(st.sampled_from([0, 1, -1, 2])))
+
+
+def sigma_by_solving(f):
+    """An automorphism sigma with f*x_j = sigma(x_j)*f, from the particular
+    solution of the linear system: for regular f the solution is unique, so
+    None means no sigma exists."""
+    pres = f.presentation
+    n, field = pres.n, pres.field
+    gens = [pres.generator(u) for u in range(n)]
+    rows = columns_to_rows([(x * f).coords for x in gens],
+                           pres.dim(f.degree + 1))
+    sols = solve_batch(rows, n, [(f * x).coords for x in gens], field)
+    if any(sol is None for sol in sols):
+        return None
+    try:
+        sigma = GradedAutomorphism(pres, [[sols[j].get(u, field.zero)
+                                           for j in range(n)]
+                                          for u in range(n)])
+    except ValueError:
+        return None
+    assert all(f * x == sigma(x) * f for x in gens)
+    return sigma
+
+
+@settings(max_examples=80)
+@given(monomial_binomials())
+def test_span_verdict_is_the_existence_of_sigma_for_regular_elements(f):
+    assume(f)
+    assume(multiplication_ranks_full(f, f.presentation.degree_cap - f.degree))
+    sigma = sigma_by_solving(f)
+    assert span_normal(f) == (sigma is not None)
+    assert is_normal(f) == sigma
+
+
+@settings(max_examples=80)
+@given(monomial_binomials())
+def test_regularity_verdict_is_the_rank_of_both_multiplication_maps(f):
+    assume(f)
+    d = f.presentation.degree_cap - f.degree
+    assert is_regular_up_to(f, d) == multiplication_ranks_full(f, d)
 
 
 def test_shamash_builds_each_component_once():
@@ -578,22 +638,37 @@ def test_builder_cases_cover_both_paths():
         assert pres._is_pbw() is pbw
 
 
-def test_is_normal_undecided_when_sigma_is_not_unique():
+def test_normal_zero_divisor_is_refused_as_not_regular():
     """In k<x,y>/(xy, yx) the element x^2 is central, but y*x^2 = 0, so
-    u -> x_u x^2 has a kernel and sigma is not unique.  The verdict is
-    "undecided", never "not normal", and shamash refuses x^2 as a zero
-    divisor."""
+    u -> x_u x^2 has a kernel and sigma is not unique.  The span verdict
+    is "normal", the dimensions say "not regular", and both ``is_normal``
+    and shamash refuse x^2 as a zero divisor."""
     pres = QuadraticPresentation.create(QQ, ["x", "y"],
                                         [{(0, 1): 1}, {(1, 0): 1}])
     x = pres.generator(0)
     f = x * x
-    verdict = is_normal(f)
-    assert isinstance(verdict, NormalityUndecided)
-    assert verdict is not None and not verdict
-    assert "not regular" in verdict.reason
+    assert span_normal(f)
+    assert not is_regular_up_to(f, 4)
+    with pytest.raises(NotRegularError, match="zero divisor"):
+        is_normal(f)
     with pytest.raises(NotRegularError):
         shamash(pres, linear_resolution(pres, "right", 3, check="report"),
                 f, length=3)
+
+
+def test_normal_element_whose_sigma_moves_a_relation_is_not_regular():
+    """In k<x,y>/(x^2 + y^2 - yx, xy + yx), A_3 = 0 and y is normal with
+    x_u*y independent, so sigma (x -> -x, y -> y) is unique; it moves the
+    first relation off R, and y kills A_2."""
+    pres = QuadraticPresentation.create(
+        QQ, ["x", "y"], [{(0, 0): 1, (1, 1): 1, (1, 0): -1},
+                         {(0, 1): 1, (1, 0): 1}], degree_cap=5)
+    y = pres.generator(1)
+    assert pres.dim(3) == 0
+    assert span_normal(y)
+    assert is_regular_up_to(y, 1) and not is_regular_up_to(y, 2)
+    with pytest.raises(NotRegularError, match="sigma"):
+        is_normal(y)
 
 
 # ---- left multiplication tables ---------------------------------------

@@ -39,6 +39,12 @@ rel t*y - y*t
 rel t*z - z*t
 """
 
+SKEW235 = """vars x, y, z
+rel y*x - 2*x*y
+rel z*x - 3*x*z
+rel z*y - 5*y*z
+"""
+
 CASE2 = """field QQ
 vars x1, x2, x3, x4
 skew
@@ -56,6 +62,7 @@ def workdir(tmp_path, monkeypatch):
     (tmp_path / "case2.pres").write_text(CASE2)
     (tmp_path / "nonkoszul.pres").write_text(NON_KOSZUL)
     (tmp_path / "xy.pres").write_text("vars x, y\nrel x*y\nrel y*x\n")
+    (tmp_path / "skew235.pres").write_text(SKEW235)
     monkeypatch.chdir(tmp_path)
     return tmp_path
 
@@ -162,16 +169,16 @@ def test_shamash_on_both_sides_computes_sigma_once_per_element(
     """sigma is solved for once per distinct (algebra, element): case2 is
     its own opposite and fixes its sum of squares, while the quantum
     plane's opposite is another algebra with f = y*x there.  Only
-    ``is_normal`` calls ``algebra.nullspace``.  The cap is this test's own,
-    so no presentation made by another test is reused."""
+    ``is_normal`` calls ``algebra.solve_batch``, once per sigma.  The cap is
+    this test's own, so no presentation made by another test is reused."""
     calls = []
-    real = algebra.nullspace
+    real = algebra.solve_batch
 
     def spy(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(algebra, "nullspace", spy)
+    monkeypatch.setattr(algebra, "solve_batch", spy)
     code = run(["shamash", f"{name}.pres", "--element", element,
                 "-L", "3", "--cap", "7", "--side", "both",
                 "--json-out", "sh2.json"])
@@ -343,16 +350,29 @@ def test_shamash_on_non_koszul_base_is_verdict_not_error(workdir, capsys):
     assert "NOT Koszul" in capsys.readouterr().out
 
 
-def test_shamash_undecided_normality_prints_null(workdir, capsys):
-    """x^2 is central in k<x,y>/(xy, yx) but y*x^2 = 0: the report must
-    not call it "not normal"."""
+def test_shamash_normal_zero_divisor_reports_not_regular(workdir, capsys):
+    """x^2 is central in k<x,y>/(xy, yx) but y*x^2 = 0: the report says
+    normal, then not regular, and has no sigma."""
     code = run(["shamash", "xy.pres", "--element", "x^2",
                 "--json-out", "un.json"])
     assert code == 0
     results = load("un.json")["results"]
-    assert results["normal"] is None
-    assert "not regular" in results["normal_undecided"]
-    assert "normal: null" in capsys.readouterr().out
+    assert results["normal"] is True
+    assert results["regular_up_to"] == {"6": False}
+    assert "normal_undecided" not in results
+    assert "normalizing_matrix" not in results
+    out = capsys.readouterr().out
+    assert "normal: True\nregular up to degree 6: False\n" in out
+
+
+@pytest.mark.parametrize("name, point", [("skew235.pres", "1,1,1"),
+                                         ("xy.pres", "1,1")])
+def test_sigma_at_a_point_off_e_exits_2(workdir, capsys, name, point):
+    code = run(["sigma", name, "--point", point, "--json-out", "offe.json"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "not on E" in err
+    assert not os.path.exists("offe.json")
 
 
 # ---- fuzzing the input surface --------------------------------------------
@@ -383,6 +403,14 @@ _plausible = st.tuples(st.sampled_from(["", "field 7\n"]),
                        st.sampled_from(["vars x, y\n", "vars x, y, z\n"]),
                        st.lists(_good_poly, min_size=1, max_size=3)).map(
     lambda t: t[0] + t[1] + "".join(f"rel {p}\n" for p in t[2]))
+# skew algebras, where (G1) mostly holds, so that sigma meets points on E
+# and off it
+_q = st.sampled_from(["1", "-1", "2", "-1/2", "0"])
+_skew = st.one_of(
+    _q.map(lambda q: f"vars x, y\nrel y*x - {q}*x*y\n"),
+    st.tuples(_q, _q, _q).map(lambda qs: "vars x, y, z\n" + "".join(
+        f"rel {b}*{a} - {q}*{a}*{b}\n"
+        for (a, b), q in zip([("x", "y"), ("x", "z"), ("y", "z")], qs))))
 
 
 @settings(max_examples=300)
@@ -396,17 +424,21 @@ def test_parser_fuzz_returns_or_raises_parse_error(text):
 
 
 @settings(max_examples=100)
-@given(st.one_of(_texts, _plausible),
-       st.sampled_from(["resolve", "quotient", "shamash"]),
-       st.one_of(st.none(), _good_poly, _soup))
-def test_cli_fuzz_exits_0_or_2(text, command, element):
+@given(st.one_of(_texts, _plausible, _skew),
+       st.sampled_from(["resolve", "quotient", "shamash", "sigma"]),
+       st.one_of(st.none(), _good_poly, _soup),
+       st.sampled_from(["1,0", "1,1", "1,0,0", "1,1,1", "1,-1,2", "2,1,1",
+                        "0,0", "0,0,0", "1", "1,2,3,4", "1/0,1", "x,1"]))
+def test_cli_fuzz_exits_0_or_2(text, command, element, point):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "fuzz.pres")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
         argv = [command, path, "-L", "2", "--cap", "4",
                 "--json-out", os.path.join(tmp, "out.json")]
-        if element is not None or command != "resolve":
+        if command == "sigma":
+            argv.append(f"--point={point}")
+        elif element is not None or command != "resolve":
             argv.append(f"--element={element or 'x*x'}")
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from quadralg import algebra, exactlinalg, resolutions
 from quadralg.algebra import (AlgebraElement, QuadraticPresentation,
-                              is_regular_up_to)
+                              is_regular_up_to, span_normal)
 from quadralg.exactlinalg import (MODULAR_PRIMES, PrimeClash, modular_rank,
                                   rank_of_columns, residue)
 from quadralg.parsing import parse_presentation_text
@@ -117,8 +117,9 @@ def _no_rational_ranks(monkeypatch, module):
 
 
 def test_regularity_of_a_normal_element_computes_no_rank(monkeypatch):
-    """f has no residue mod P1, and it need not: the dimensions of A/(f)
-    decide, with no rank mod p or over QQ."""
+    """f has no residue mod P1, and it need not: normality is three exact
+    ranks over QQ in A_3 (the span identity), and then the dimensions of
+    A/(f) decide regularity, with no rank mod p or over QQ."""
     pres = QuadraticPresentation.commutative(QQ, NAMES)
     x, y, z = (pres.generator(i) for i in range(3))
     f = x * x + (y * y).scale(Fraction(1, P1)) + z * z
@@ -135,6 +136,9 @@ def test_regularity_of_a_normal_element_computes_no_rank(monkeypatch):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name,
                                     spy(name, getattr(module, name)))
+    assert span_normal(f)
+    assert ranks == ["rank_of_columns"] * 3
+    ranks.clear()
     assert is_regular_up_to(f, 3)
     assert ranks == []
 
