@@ -354,13 +354,13 @@ def add_ints(acc, flat, c):
     return acc
 
 
-def residue_sums(terms, dim, p=None):
-    """The sparse columns w < dim, column w being the sum of c * images[w],
-    its rows shifted by ``offset``, over the terms (offset, images, c).
-    Cells are summed with no reduction, then reduced mod p once when p is
-    set; zero cells are dropped."""
+def residue_sums(terms, words, p=None):
+    """The sparse column of each basis word w in ``words``, the sum of
+    c * images[w], its rows shifted by ``offset``, over the terms (offset,
+    images, c).  Cells are summed with no reduction, then reduced mod p
+    once when p is set; zero cells are dropped."""
     columns = []
-    for w in range(dim):
+    for w in words:
         acc = {}
         get = acc.get
         for off, images, c in terms:
@@ -668,19 +668,25 @@ class GradedAutomorphism:
                 raise ValueError("matrix does not preserve the relations")
 
     def _preserves_relations(self):
+        """sigma(r) lies in R for every relation r = sum a_uv x_u x_v:
+        sigma(r) = sum a_uv S_iu S_kv x_i x_k, summed over the nonzero
+        entries of the relation and of S only."""
         pres = self.presentation
         n = pres.n
-        S = [list(r) for r in self.matrix]
-        for a in pres.relation_matrices():
-            sa = mat_mul(S, a, pres.field)
-            sas = mat_mul(sa, [[S[j][i] for j in range(n)] for i in range(n)],
-                          pres.field)
-            vec = {}
-            for u in range(n):
-                for v in range(n):
-                    if sas[u][v]:
-                        vec[u * n + v] = sas[u][v]
-            if not pres._rel_space.contains(vec):
+        images = [[(i, c) for i in range(n) if (c := self.matrix[i][u])]
+                  for u in range(n)]
+        for row in pres.rel_rows:
+            acc = {}
+            get = acc.get
+            for col, a in row.items():
+                right = images[col % n]
+                for i, s in images[col // n]:
+                    c = a * s
+                    for k, t in right:
+                        key = i * n + k
+                        acc[key] = get(key, 0) + c * t
+            if not pres._rel_space.contains(
+                    {key: v for key, v in acc.items() if v}):
                 return False
         return True
 

@@ -111,6 +111,8 @@ def _load(args):
         raise ParseError("length must be >= 1")
     if getattr(args, "max_degree", 0) < 0:
         raise ParseError("max degree must be >= 0")
+    if cap < 0:
+        raise ParseError(f"degree cap must be >= 0, got {cap}")
     if cap < args.length + 2:
         cap = args.length + 2
     pres = parse_presentation_file(args.presentation, degree_cap=cap)

@@ -7,7 +7,10 @@ and two elimination kernels on sparse rows, one per kind of field.
   ranks over GF(p) and ``modular_rank``, the rank certificates over QQ.
   Such a rank is a certified LOWER bound for the rank over QQ; callers
   combine these bounds into exact certificates and fall back to rational
-  elimination when the certificate does not close.
+  elimination when the certificate does not close.  ``modular_rank`` also
+  records the rows at which its echelon found its pivots (``leads``), so
+  that a verifier can eliminate the next map of a complex only on the
+  columns outside the image of this one.
 
 The certificates of the package are built in F_p from the start: the
 algebra reduces its multiplication tables mod p once per prime and the
@@ -197,8 +200,9 @@ def exact_rank(rows, field=QQ):
         for row in rows:
             space.add({j: c for j, v in _entries(row) if (c := QQ(v))})
         return space.rank
-    return _echelon_rank([{j: c for j, v in _entries(row)
-                           if (c := field(v).val)} for row in rows], field.p)
+    return len(_echelon_leads([{j: c for j, v in _entries(row)
+                                if (c := field(v).val)} for row in rows],
+                              field.p))
 
 
 class PrimeClash(Exception):
@@ -232,34 +236,41 @@ def over_working_primes(attempt):
 
 class ResidueColumns(list):
     """Sparse columns {row: nonzero residue} of a matrix already reduced
-    mod ``prime``."""
+    mod ``prime``.  ``modular_rank`` sets ``leads``: the rows at which its
+    echelon found its pivots, one per unit of rank (None until then)."""
 
-    __slots__ = ("prime",)
+    __slots__ = ("prime", "leads")
 
     def __init__(self, prime, columns=()):
         super().__init__(columns)
         self.prime = prime
+        self.leads = None
 
 
-def _echelon_rank(rows, p):
-    """Rank over F_p of sparse rows {column: nonzero residue}, which are
-    consumed.
+def _echelon_leads(rows, p):
+    """The pivot columns of an echelon over F_p of sparse rows {column:
+    nonzero residue}, which are consumed: one per unit of rank.
 
     Rows are inserted shortest first into an echelon keyed by each row's
-    largest column, monic there, with no back-reduction.  On the resolution
-    certificates the largest column needs about a fifth fewer row
-    reductions than the smallest; on the GF(p) ranks it is no different.
+    largest column, with no back-reduction.  On the resolution certificates
+    the largest column needs about a fifth fewer row reductions than the
+    smallest; on the GF(p) ranks it is no different.  A pivot row is kept
+    as it was found, and its lead is inverted the first time a reduction
+    uses it, so that a row no later row meets costs no inverse and no copy.
     """
     pivots = {}
+    inverses = {}
     for row in sorted(filter(None, rows), key=len):
         while row:
             lead = max(row)
             prow = pivots.get(lead)
             if prow is None:
-                inv = pow(row[lead], -1, p)
-                pivots[lead] = {c: v * inv % p for c, v in row.items()}
+                pivots[lead] = row
                 break
-            coeff = row[lead]
+            inv = inverses.get(lead)
+            if inv is None:
+                inv = inverses[lead] = pow(prow[lead], -1, p)
+            coeff = row[lead] * inv % p
             get = row.get
             for c, v in prow.items():
                 acc = (get(c, 0) - coeff * v) % p
@@ -267,7 +278,7 @@ def _echelon_rank(rows, p):
                     row[c] = acc
                 else:
                     del row[c]
-    return len(pivots)
+    return list(pivots)
 
 
 def modular_rank(columns, nrows):
@@ -275,8 +286,12 @@ def modular_rank(columns, nrows):
     lower bound for the rank over QQ of the columns they reduce, which the
     certificates in the verifiers close.  The columns are eliminated over
     their own prime, as the ``nrows``-long rows of the transpose (like
-    ``rank_of_columns``), and are not consumed."""
-    return _echelon_rank([dict(c) for c in columns], columns.prime)
+    ``rank_of_columns``), and are not consumed; the rows of the matrix at
+    which the echelon found its pivots go to ``columns.leads``.  The
+    columns restricted to those rows have full rank, so the columns span a
+    complement of the coordinate vectors of the other rows."""
+    columns.leads = _echelon_leads([dict(c) for c in columns], columns.prime)
+    return len(columns.leads)
 
 
 def rank_of_columns(columns, nrows, field=QQ):

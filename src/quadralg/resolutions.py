@@ -7,12 +7,15 @@ the (i+1)-st differential's columns are the canonical basis of the degree
 opposite algebra, transposed at the geometric boundary.
 
 Exactness at truncation is certified exactly: composite-zero symbolically
-over the algebra, then rank counting where a full modular rank sum closes
-the certificate over QQ and any miss falls back to rational elimination.
-The scalar matrices of a map are read off the algebra's left tables by one
-assembler, in either of their domains: ``degree_columns`` in field scalars
-for the nullspaces, the lifts, the ranks over GF(p) and the rational
-fallback, and ``residue_columns`` in F_p for the certificates over QQ.
+over the algebra, then rank counting.  Over QQ each internal degree is
+certified by one top-down chain mod p, which eliminates d_L whole and each
+lower d_i only on its columns outside the lead rows of the echelon of
+d_{i+1}; a degree whose chain falls short, and every complex over GF(p),
+takes exact ranks.  The scalar matrices of a map are read off the algebra's
+left tables by one assembler, in either of their domains:
+``degree_columns`` in field scalars for the nullspaces, the lifts, the
+ranks over GF(p) and the exact fallback, and ``residue_columns`` in F_p,
+leaving out the columns the chain skips, for the certificates over QQ.
 """
 
 from __future__ import annotations
@@ -183,33 +186,37 @@ class FreeModuleMap:
             total += pres.dim(d) if d >= 0 else 0
         return offsets, total
 
-    def _columns(self, e, p):
+    def _columns(self, e, p, skip=()):
         """The internal-degree-e scalar matrix in the domain of the left
         tables ``tables(p)``: (sparse columns, nrows, col_labels).  Column
         (j, w) sums each nonzero entry of column j times basis word w of
         A_{e - shift}: each word of the entry is walked on the left through
-        the tables, and its rows go to the entry's block."""
+        the tables, and its rows go to the entry's block.  The columns
+        whose index is in ``skip`` are left out, and not built."""
         pres = self.presentation
         tables = pres.tables(p)
         row_offsets, total_rows = self.row_offsets(e)
         columns = [] if p is None else ResidueColumns(p)
         labels = []
+        base = 0
         for j, s in enumerate(self.source_shifts):
             d = e - s
             dim = pres.dim(d) if d >= 0 else 0
-            if not dim:
+            words = [w for w in range(dim) if base + w not in skip]
+            base += dim
+            if not words:
                 continue
             terms = []
             for k, row in enumerate(self.entries):
                 ent = row[j]
                 if ent:
-                    words = pres.component(ent.degree).words
+                    basis = pres.component(ent.degree).words
                     terms.extend(
-                        (row_offsets[k], tables.images(words[i], d), r)
+                        (row_offsets[k], tables.images(basis[i], d), r)
                         for i, c in ent.coords.items()
                         if (r := tables.scalar(c)))
-            columns.extend(residue_sums(terms, dim, p))
-            labels.extend((j, w) for w in range(dim))
+            columns.extend(residue_sums(terms, words, p))
+            labels.extend((j, w) for w in words)
         return columns, total_rows, labels
 
     def degree_columns(self, e):
@@ -217,12 +224,13 @@ class FreeModuleMap:
         columns of field scalars; returns (columns, nrows, col_labels)."""
         return self._columns(e, None)
 
-    def residue_columns(self, e, p):
+    def residue_columns(self, e, p, skip=()):
         """``degree_columns(e)`` reduced mod p, built from the residue tables
         of the QQ algebra: (``ResidueColumns``, nrows), with the same rows
-        and columns.  Each entry's coordinates are reduced once; raises
+        and the same columns but those whose index is in ``skip``, which
+        are not built.  Each entry's coordinates are reduced once; raises
         PrimeClash."""
-        columns, total_rows, _ = self._columns(e, p)
+        columns, total_rows, _ = self._columns(e, p, skip)
         return columns, total_rows
 
     def to_linear_form_matrix(self, ring=None):
@@ -412,36 +420,63 @@ class FreeComplex:
                 f"{self.ranks()}>")
 
 
-def _rank_cached(cache, cplx, i, e, certified):
-    """Rank of d_i in internal degree e, memoized per (i, e, certified).
-
-    ``certified`` asks for the mod-p lower bound that the certificates sum
-    over QQ; when every working prime clashes with a denominator it is the
-    exact rank.  Over a prime field the exact rank is already the cheap
-    one, so both requests share it.
-    """
-    field = cplx.presentation.field
-    certified = certified and field == QQ
-    key = (i, e, certified)
+def _exact_rank(cache, cplx, i, e):
+    """Exact rank of d_i in internal degree e, in the field's own scalars,
+    memoized per (i, e)."""
+    key = (i, e)
     if key not in cache:
-        fmap = cplx.maps[i - 1]
-        if certified:
-            rank = over_working_primes(
-                lambda p: modular_rank(*fmap.residue_columns(e, p)))
-            cache[key] = (_rank_cached(cache, cplx, i, e, False)
-                          if rank is None else rank)
-        else:
-            cols, nrows, _ = fmap.degree_columns(e)
-            cache[key] = rank_of_columns(cols, nrows, field)
+        cols, nrows, _ = cplx.maps[i - 1].degree_columns(e)
+        cache[key] = rank_of_columns(cols, nrows, cplx.presentation.field)
     return cache[key]
+
+
+def _chain_closes(cplx, e, target):
+    """Whether one top-down chain of mod-p eliminations certifies internal
+    degree e of a QQ complex whose composites are all zero: zero homology at
+    1..L-1, and d_1 onto its ``target`` dimension when e >= 1.
+
+    d_L is eliminated whole.  Each d_i below it is eliminated only on the
+    columns whose index is not a lead row of the echelon of d_{i+1}: those
+    rows are d_i's column indices, and the image of d_{i+1} mod p is a
+    complement of the other coordinate vectors, on which d_i vanishes.  The
+    chain closes when every such restricted elimination has full column
+    rank; then rho_i + rho_{i+1} = dim T_{i,e} by construction.  Each rho
+    is the rank mod p of some columns, a lower bound on the rational rank,
+    and the zero composite gives rank d_i + rank d_{i+1} <= dim T_{i,e}, so
+    the rational ranks are the rho.  One working prime serves the whole
+    chain; a rank that comes without its leads closes nothing.
+    """
+    maps = cplx.maps
+
+    def attempt(p):
+        leads = ()
+        for i in range(len(maps), 0, -1):
+            cols, nrows = maps[i - 1].residue_columns(e, p, leads)
+            if not cols:  # rank 0, with no leads
+                leads = ()
+                continue
+            rank = modular_rank(cols, nrows)
+            if (cols.leads is None or len(cols.leads) != rank
+                    or (i < len(maps) and rank != len(cols))):
+                return False
+            leads = set(cols.leads)
+        return e == 0 or len(leads) == target
+
+    return bool(over_working_primes(attempt))
 
 
 def verify_complex(cplx, internal_cap):
     """Composite-zero, homology-vanishing and minimality at a truncation.
 
-    Rank counting is certified: a full modular rank sum plus symbolic
-    composite-zero pins the rational ranks; otherwise exact rational ranks
-    are computed.  Failures are report content, not exceptions.
+    The composites d_i o d_{i+1} are checked symbolically over the algebra.
+    Over QQ, when they are all zero, each internal degree e is certified by
+    one top-down chain of mod-p eliminations (``_chain_closes``), which
+    eliminates d_L whole and each lower d_i only on the columns outside the
+    image of d_{i+1}.  Every other case, a degree whose chain does not close
+    or at which every working prime clashes, a nonzero composite, and every
+    complex over GF(p), takes the exact ranks of ``degree_columns``.
+    Homology dimensions are exact either way.  Failures are report content,
+    not exceptions.
     """
     pres = cplx.presentation
     dims = {}
@@ -466,35 +501,32 @@ def verify_complex(cplx, internal_cap):
                 ent = d.entries[k][j]
                 if ent and ent.degree < 1:
                     report.scalar_entries.append((i, k, j))
-    # augmentation: d_1 surjective onto A_e for 1 <= e <= cap
     cache = {}
+    chains = {}
+    certify = pres.field == QQ and all(composites)
+
+    def closed(e):
+        if e not in chains:
+            chains[e] = certify and _chain_closes(cplx, e, pdim(e))
+        return chains[e]
+
+    # augmentation: d_1 surjective onto A_e for 1 <= e <= cap
     if cplx.maps:
         for e in range(1, internal_cap + 1):
             target = pdim(e)
-            if target == 0:
-                report.augmentation[e] = True
-                continue
-            if _rank_cached(cache, cplx, 1, e, True) == target:
-                report.augmentation[e] = True
-            else:
-                report.augmentation[e] = (
-                    _rank_cached(cache, cplx, 1, e, False) == target)
+            report.augmentation[e] = (
+                target == 0 or closed(e)
+                or _exact_rank(cache, cplx, 1, e) == target)
     # homology at positions 1..length-1
     for i in range(1, cplx.length):
-        ok_composite = all(composites[:i])
         for e in range(0, internal_cap + 1):
             dim_here = sum(pdim(e - s) for s in cplx.shifts(i))
-            if dim_here == 0:
+            if dim_here == 0 or closed(e):
                 report.homology[(i, e)] = 0
                 continue
-            r1 = _rank_cached(cache, cplx, i, e, True)
-            r2 = _rank_cached(cache, cplx, i + 1, e, True)
-            if ok_composite and r1 + r2 == dim_here:
-                report.homology[(i, e)] = 0
-                continue
-            r1 = _rank_cached(cache, cplx, i, e, False)
-            r2 = _rank_cached(cache, cplx, i + 1, e, False)
-            report.homology[(i, e)] = dim_here - r1 - r2
+            report.homology[(i, e)] = (dim_here
+                                       - _exact_rank(cache, cplx, i, e)
+                                       - _exact_rank(cache, cplx, i + 1, e))
     return report
 
 

@@ -18,7 +18,7 @@ from quadralg.parsing import parse_presentation_text
 from quadralg.shamash import shamash
 from quadralg.resolutions import linear_resolution
 from quadralg.exactlinalg import (RowSpace, columns_to_rows, invert_matrix,
-                                  rank_of_columns, solve_batch)
+                                  mat_mul, rank_of_columns, solve_batch)
 from quadralg.scalars import GF, QQ
 from conftest import right_walk_product, sum_of_squares
 
@@ -405,6 +405,61 @@ def test_automorphism_must_preserve_relations(quantum_plane):
     # swapping x and y does not preserve xy - 2yx
     with pytest.raises(ValueError):
         GradedAutomorphism(quantum_plane, [[QQ(0), QQ(1)], [QQ(1), QQ(0)]])
+
+
+@st.composite
+def relation_maps(draw):
+    """A presentation with skew or dense relations over QQ or GF(7), and an
+    n x n matrix: diagonal (which preserves skew relations), a transposition
+    of two variables, or sparse entries."""
+    field = draw(st.sampled_from([QQ, GF(7)]))
+    n = draw(st.integers(2, 3))
+    names = ["x", "y", "z"][:n]
+    c = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2)])
+    if draw(st.booleans()):
+        q = [[1] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                q[i][j] = draw(st.sampled_from([1, -1, 2, 3]))
+                q[j][i] = field.one / field(q[i][j])
+        pres = QuadraticPresentation.skew(field, names, q, degree_cap=3)
+    else:
+        words = [(u, v) for u in range(n) for v in range(n)]
+        rels = [rel for _ in range(draw(st.integers(1, n * n - 1)))
+                if (rel := {w: a for w in words if (a := draw(c))})]
+        pres = QuadraticPresentation.create(
+            field, names, rels or [{(0, 1): 1, (1, 0): -1}], degree_cap=3)
+    kind = draw(st.sampled_from(["diagonal", "swap", "sparse"]))
+    if kind == "diagonal":
+        m = [[draw(st.sampled_from([1, -1, 2])) if i == j else 0
+              for j in range(n)] for i in range(n)]
+    elif kind == "swap":
+        m = [[int(j == (1 - i if i < 2 else i)) for j in range(n)]
+             for i in range(n)]
+    else:
+        m = [[draw(c) for _ in range(n)] for _ in range(n)]
+    return pres, m
+
+
+@settings(max_examples=60, deadline=None)
+@given(relation_maps())
+def test_relations_preserved_by_the_sparse_sum_as_by_s_a_st(case):
+    """The sparse invariant agrees with the dense one: S a S^T in R for
+    every relation matrix a."""
+    pres, m = case
+    field, n = pres.field, pres.n
+    sigma = GradedAutomorphism(pres, m, _checked=True)
+    S = [list(r) for r in sigma.matrix]
+    St = [list(col) for col in zip(*S)]
+
+    def in_r(a):
+        sas = mat_mul(mat_mul(S, a, field), St, field)
+        return pres._rel_space.contains({u * n + v: x
+                                         for u, row in enumerate(sas)
+                                         for v, x in enumerate(row) if x})
+
+    assert sigma._preserves_relations() == all(
+        in_r(a) for a in pres.relation_matrices())
 
 
 def test_convert_element_identity_map(quantum_plane):

@@ -10,11 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import quadralg
-from quadralg import algebra
+from quadralg import algebra, resolutions
 from quadralg.algebra import QuadraticPresentation
 from quadralg.cli import main
 from quadralg.exactlinalg import MODULAR_PRIMES
 from quadralg.parsing import ParseError, parse_presentation_text
+from quadralg.resolutions import linear_resolution
 
 QPLANE = """field QQ
 vars x, y
@@ -332,12 +333,65 @@ def test_degree_cap_variable_sets_the_cap(workdir, monkeypatch):
     assert load("cap.json")["config"]["cap"] == 5
 
 
+@pytest.mark.parametrize("source", ["--cap", "QUADRALG_DEGREE_CAP"])
+def test_negative_degree_cap_exits_2(workdir, capsys, monkeypatch, source):
+    argv = ["resolve", "qplane.pres", "--json-out", "cap.json"]
+    if source == "--cap":
+        argv += ["--cap", "-1"]
+    else:
+        monkeypatch.setenv(source, "-5")
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "cap" in err
+    assert "Traceback" not in err
+    assert not os.path.exists("cap.json")
+
+
+def test_a_cap_below_length_plus_two_is_raised(workdir):
+    assert run(["resolve", "qplane.pres", "-L", "2", "--cap", "0",
+                "--json-out", "cap.json"]) == 0
+    assert load("cap.json")["config"]["cap"] == 4
+
+
 @pytest.mark.parametrize("command", ["check-point-exact", "report"])
 def test_negative_max_degree_exits_2(workdir, capsys, command):
     assert run([command, "qplane.pres", "--max-degree", "-1",
                 "--json-out", "md.json"]) == 2
     assert capsys.readouterr().err.startswith("input error:")
     assert not os.path.exists("md.json")
+
+
+def test_non_koszul_report_does_not_depend_on_the_modular_shortcut(
+        workdir, monkeypatch):
+    """The chain falls short at internal degree 4, where the homology at
+    index 2 has dim 11, and the exact ranks decide there.  With
+    ``modular_rank`` stubbed to 0 no chain closes and every degree takes
+    the exact ranks: the report and the JSON results are the same.  Each
+    run parses its own presentation (distinct caps), so that no resolution
+    is reused."""
+    stubbed = []
+
+    def never_certifies(columns, nrows):
+        stubbed.append(nrows)
+        return 0
+
+    reports, results = [], []
+    for cap, stub in ((6, False), (7, True)):
+        with monkeypatch.context() as mp:
+            if stub:
+                mp.setattr(resolutions, "modular_rank", never_certifies)
+            pres = parse_presentation_text(NON_KOSZUL, degree_cap=cap)
+            res = linear_resolution(pres, "right", 3, check="report")
+            reports.append(res.meta["verification"])
+            out = f"nk{cap}.json"
+            assert run(["resolve", "nonkoszul.pres", "-L", "3", "--cap",
+                        str(cap), "--json-out", out]) == 0
+            results.append(load(out)["results"])
+    assert stubbed
+    assert reports[0] == reports[1]
+    assert reports[0].first_failure() == ("homology", 2, 4, 11)
+    assert results[0] == results[1]
+    assert "(dim 11)" in results[0]["right"]["failure"]
 
 
 def test_shamash_on_non_koszul_base_is_verdict_not_error(workdir, capsys):

@@ -198,6 +198,28 @@ def _certificate(columns, nrows, tried):
     return over_working_primes(attempt)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([7, MODULAR_PRIMES[0]]),
+       st.lists(st.dictionaries(st.integers(0, 5), st.integers(1, 20),
+                                max_size=4), max_size=8))
+def test_modular_rank_leaves_its_lead_rows(p, cells):
+    """One lead row per unit of rank, inside range(nrows), and the columns
+    restricted to the lead rows keep the full rank: their span is a
+    complement of the coordinate vectors of the other rows."""
+    columns = ResidueColumns(p, [{i: v % p for i, v in col.items() if v % p}
+                                 for col in cells])
+    before = [dict(col) for col in columns]
+    rank = modular_rank(columns, 6)
+    assert list(columns) == before
+    assert len(columns.leads) == rank == len(set(columns.leads))
+    assert set(columns.leads) <= set(range(6))
+    assert rank == rank_of_columns(columns, 6, GF(p))
+    lead = set(columns.leads)
+    restricted = [{i: v for i, v in col.items() if i in lead}
+                  for col in columns]
+    assert rank_of_columns(restricted, 6, GF(p)) == rank
+
+
 def test_modular_rank_moves_past_a_clashing_prime():
     columns = [{0: Fraction(1, MODULAR_PRIMES[0]), 1: Fraction(1)},
                {0: Fraction(2), 1: Fraction(3)}]

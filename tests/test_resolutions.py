@@ -181,7 +181,8 @@ def test_scalar_chain_iso_rejects_non_isomorphic(quantum_plane):
 def assert_columns_match(fmap, top):
     """Columns, row count and labels agree in every internal degree whose
     products stay within A_top, and over QQ the residue columns are the
-    residues of the rational ones at both first working primes."""
+    residues of the rational ones at both first working primes, also when
+    a third of the column indices are skipped."""
     low = min(fmap.target_shifts, default=0)
     for e in range(0, top + low + 1):
         columns, nrows, labels = fmap.degree_columns(e)
@@ -194,6 +195,12 @@ def assert_columns_match(fmap, top):
             assert list(got) == [{i: r for i, v in col.items()
                                   if (r := residue(v, p))}
                                  for col in columns]
+            # the chain's restricted columns: every index in skip left out
+            skip = set(range(e % 3, len(columns), 3))
+            kept, kept_rows = fmap.residue_columns(e, p, skip)
+            assert kept.prime == p and kept_rows == nrows
+            assert list(kept) == [col for c, col in enumerate(got)
+                                  if c not in skip]
 
 
 @pytest.mark.parametrize("name", ["quantum_plane", "sec5_algebra",
