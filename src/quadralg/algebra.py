@@ -29,12 +29,12 @@ entry is one right step.  Equal scalars are shared: about 1 MiB in either
 domain for the n = 6 skew algebra and its quotient to degree 8, against
 6.8 MB as dicts keyed by (u, w).  Its scalar domain is its parameter, with
 one instance per domain: ``tables()`` holds the field's own scalars
-(products, nullspaces, lifts and the rational fallback), and ``tables(p)``
-the residues mod p of a QQ presentation (every rank certificate).  Residues
-reduce the QQ step tables, never the relations (a bad prime can move the
-pivots of an F_p echelon, and with them the normal words), and sums run in
-ints, reduced once per image.  A denominator divisible by p raises
-``PrimeClash`` while a table is built; nothing is stored for that degree.
+(products, nullspaces, lifts and exact ranks), and ``tables(p)`` ints mod p
+of a QQ presentation, or of a GF(p) one at its characteristic (every rank
+chain).  Residues reduce the step tables, never the relations (a bad prime
+can move the pivots of an F_p echelon, and with them the normal words), and
+sums run in ints, reduced once per image.  A denominator divisible by p
+raises ``PrimeClash`` while a table is built, and that degree stays unbuilt.
 One walk, ``ResidueTables.walk``, multiplies by a word through the step
 tables or the left tables; a product walks the words of its shorter factor.
 The scalar matrices of module maps are read off the left tables.
@@ -248,8 +248,8 @@ class QuadraticPresentation:
 
     def tables(self, p=None):
         """The left tables of this presentation, one ``ResidueTables`` per
-        scalar domain: the field's own scalars for ``p`` None, residues mod
-        the prime ``p`` of a QQ presentation otherwise."""
+        scalar domain: the field's own scalars for ``p`` None, else ints mod
+        ``p``, a prime for QQ and the characteristic for GF(p)."""
         tables = self._tables.get(p)
         if tables is None:
             tables = self._tables[p] = ResidueTables(self, p)
@@ -385,7 +385,7 @@ class ResidueTables:
     and once per degree: ``left[d][u][i]`` is x_u times word i of A_{d-1},
     a flat tuple (index, scalar, ...) of its nonzero scalars.  For ``p``
     None the scalars are the field's own (``Fraction`` or ``FpElement``);
-    for a prime ``p`` they are the residues mod p of a QQ presentation.
+    for a prime ``p`` they are ints mod p (see ``tables``).
     Equal scalars are one object per table, and a left image that is one
     step image is that tuple itself."""
 

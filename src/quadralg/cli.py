@@ -95,7 +95,8 @@ def _parser():
 
 def _load(args):
     """Check length, cap and max degree, parse the presentation and the
-    element.  The only reader of ``QUADRALG_DEGREE_CAP``.
+    element.  The only reader of ``QUADRALG_DEGREE_CAP``.  The subcommands
+    that read ``-L`` raise a smaller cap to length + 2; the others keep it.
 
     Returns (presentation, cap, element or None).
     """
@@ -113,8 +114,8 @@ def _load(args):
         raise ParseError("max degree must be >= 0")
     if cap < 0:
         raise ParseError(f"degree cap must be >= 0, got {cap}")
-    if cap < args.length + 2:
-        cap = args.length + 2
+    if args.command in ("resolve", "shamash", "report"):
+        cap = max(cap, args.length + 2)
     pres = parse_presentation_file(args.presentation, degree_cap=cap)
     f = None
     if getattr(args, "element", None):

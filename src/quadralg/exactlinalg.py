@@ -3,19 +3,20 @@ and two elimination kernels on sparse rows, one per kind of field.
 
 - ``RowSpace``, a reduced row echelon form over any field, does every
   rational rank, nullspaces, batched solves and inverses.
-- A mod-p echelon in Python integers does every rank over F_p: the exact
-  ranks over GF(p) and ``modular_rank``, the rank certificates over QQ.
-  Such a rank is a certified LOWER bound for the rank over QQ; callers
-  combine these bounds into exact certificates and fall back to rational
-  elimination when the certificate does not close.  ``modular_rank`` also
-  records the rows at which its echelon found its pivots (``leads``), so
-  that a verifier can eliminate the next map of a complex only on the
-  columns outside the image of this one.
+- A mod-p echelon in Python integers does every rank over F_p:
+  ``exact_rank`` over GF(p) and ``modular_rank``, which is exact at the
+  characteristic of a GF(p) algebra and, at a working prime, a certified
+  LOWER bound for the rank over QQ that callers combine into exact
+  certificates, falling back to rational elimination where one does not
+  close.  ``modular_rank`` also records the rows at which its echelon
+  found its pivots (``leads``), so that a verifier can eliminate the next
+  map of a complex only on the columns outside the image of this one.
 
-The certificates of the package are built in F_p from the start: the
-algebra reduces its multiplication tables mod p once per prime and the
-callers hand ``modular_rank`` ``ResidueColumns``, which it eliminates as
-they are.  ``over_working_primes`` is the one loop over ``MODULAR_PRIMES``: a
+The matrices of ``modular_rank`` are built in F_p from the start: the
+algebra reduces its multiplication tables mod p once per prime (a GF(p)
+one at its characteristic) and the callers hand ``modular_rank``
+``ResidueColumns``, which it eliminates as they are.
+``over_working_primes`` is the one loop over ``MODULAR_PRIMES``: a
 denominator divisible by the prime raises ``PrimeClash`` and moves to the
 next one, and when every prime clashes there is no certificate, so the
 rational ranks decide.  Reduction mod p is a ring map on p-integral
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import QQ
+from .scalars import FpElement, QQ
 
 # Primes just under 2^31: large enough that a random rank drop mod p is
 # rare, so the certificates close without the rational fallback.
@@ -210,8 +211,8 @@ class PrimeClash(Exception):
 
 
 def residue(value, p):
-    """The residue mod p of an int or a p-integral Fraction; raises
-    PrimeClash when the denominator is divisible by p."""
+    """The residue mod p of an int, a p-integral Fraction or an element of
+    F_p itself; raises PrimeClash when the denominator is divisible by p."""
     if isinstance(value, Fraction):
         den = value.denominator
         if den == 1:
@@ -220,6 +221,8 @@ def residue(value, p):
         if den == 0:
             raise PrimeClash
         return value.numerator * pow(den, -1, p) % p
+    if isinstance(value, FpElement) and value.p == p:
+        return value.val
     return int(value) % p
 
 

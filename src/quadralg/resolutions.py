@@ -7,15 +7,16 @@ the (i+1)-st differential's columns are the canonical basis of the degree
 opposite algebra, transposed at the geometric boundary.
 
 Exactness at truncation is certified exactly: composite-zero symbolically
-over the algebra, then rank counting.  Over QQ each internal degree is
-certified by one top-down chain mod p, which eliminates d_L whole and each
-lower d_i only on its columns outside the lead rows of the echelon of
-d_{i+1}; a degree whose chain falls short, and every complex over GF(p),
-takes exact ranks.  The scalar matrices of a map are read off the algebra's
-left tables by one assembler, in either of their domains:
-``degree_columns`` in field scalars for the nullspaces, the lifts, the
-ranks over GF(p) and the exact fallback, and ``residue_columns`` in F_p,
-leaving out the columns the chain skips, for the certificates over QQ.
+over the algebra, then rank counting.  Each internal degree takes its ranks
+from one top-down chain mod p, which eliminates d_L whole and each lower
+d_i only on its columns outside the lead rows of the echelon of d_{i+1}: at
+the characteristic over GF(p), where they are the ranks, and at a working
+prime over QQ, where they are lower bounds that decide wherever they meet
+the dimension; QQ shortfalls take exact ranks.  The scalar matrices of a
+map are read off the algebra's left tables by one assembler, in either of
+their domains: ``degree_columns`` in field scalars for the nullspaces, the
+lifts and the exact ranks, and ``residue_columns`` in F_p, leaving out the
+columns the chain skips, for the chain.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .exactlinalg import (ResidueColumns, add_scaled, columns_to_rows,
                           modular_rank, nullspace, over_working_primes,
                           rank_of_columns, solve_batch)
 from .linearforms import LinearFormMatrix, geometry_ring
-from .scalars import QQ
 
 
 class NonlinearKernelError(RuntimeError):
@@ -226,9 +226,10 @@ class FreeModuleMap:
 
     def residue_columns(self, e, p, skip=()):
         """``degree_columns(e)`` reduced mod p, built from the residue tables
-        of the QQ algebra: (``ResidueColumns``, nrows), with the same rows
-        and the same columns but those whose index is in ``skip``, which
-        are not built.  Each entry's coordinates are reduced once; raises
+        ``tables(p)``, a working prime of a QQ algebra or the characteristic
+        of a GF(p) one: (``ResidueColumns``, nrows), with the same rows and
+        the same columns but those whose index is in ``skip``, which are not
+        built.  Each entry's coordinates are reduced once; raises
         PrimeClash."""
         columns, total_rows, _ = self._columns(e, p, skip)
         return columns, total_rows
@@ -430,53 +431,47 @@ def _exact_rank(cache, cplx, i, e):
     return cache[key]
 
 
-def _chain_closes(cplx, e, target):
-    """Whether one top-down chain of mod-p eliminations certifies internal
-    degree e of a QQ complex whose composites are all zero: zero homology at
-    1..L-1, and d_1 onto its ``target`` dimension when e >= 1.
+def _chain_ranks(cplx, e):
+    """The ranks rho_i of one top-down chain of mod-p eliminations at
+    internal degree e, {i: rho_i} for 1..L; None when every working prime
+    clashes.  Over GF(p) the chain runs at the characteristic, over QQ at
+    the first working prime with no clash.
 
     d_L is eliminated whole.  Each d_i below it is eliminated only on the
     columns whose index is not a lead row of the echelon of d_{i+1}: those
     rows are d_i's column indices, and the image of d_{i+1} mod p is a
-    complement of the other coordinate vectors, on which d_i vanishes.  The
-    chain closes when every such restricted elimination has full column
-    rank; then rho_i + rho_{i+1} = dim T_{i,e} by construction.  Each rho
-    is the rank mod p of some columns, a lower bound on the rational rank,
-    and the zero composite gives rank d_i + rank d_{i+1} <= dim T_{i,e}, so
-    the rational ranks are the rho.  One working prime serves the whole
-    chain; a rank that comes without its leads closes nothing.
+    complement of the other coordinate vectors, on which d_i vanishes when
+    the composite d_i o d_{i+1} is zero.  Then, over GF(p), rho_i is the
+    rank of d_i.  Over QQ each rho is the rank mod p of some columns, a
+    lower bound on the rational rank, and the zero composite gives rank d_i
+    + rank d_{i+1} <= dim T_{i,e}: where rho_i + rho_{i+1} meets that bound
+    (or rho_1 meets dim A_e), the rational ranks are the rho.
     """
     maps = cplx.maps
 
     def attempt(p):
-        leads = ()
+        ranks, leads = {}, set()
         for i in range(len(maps), 0, -1):
             cols, nrows = maps[i - 1].residue_columns(e, p, leads)
-            if not cols:  # rank 0, with no leads
-                leads = ()
-                continue
-            rank = modular_rank(cols, nrows)
-            if (cols.leads is None or len(cols.leads) != rank
-                    or (i < len(maps) and rank != len(cols))):
-                return False
-            leads = set(cols.leads)
-        return e == 0 or len(leads) == target
+            ranks[i] = modular_rank(cols, nrows) if cols else 0
+            leads = set(cols.leads or ())
+        return ranks
 
-    return bool(over_working_primes(attempt))
+    p = cplx.presentation.field.characteristic
+    return attempt(p) if p else over_working_primes(attempt)
 
 
 def verify_complex(cplx, internal_cap):
     """Composite-zero, homology-vanishing and minimality at a truncation.
 
     The composites d_i o d_{i+1} are checked symbolically over the algebra.
-    Over QQ, when they are all zero, each internal degree e is certified by
-    one top-down chain of mod-p eliminations (``_chain_closes``), which
-    eliminates d_L whole and each lower d_i only on the columns outside the
-    image of d_{i+1}.  Every other case, a degree whose chain does not close
-    or at which every working prime clashes, a nonzero composite, and every
-    complex over GF(p), takes the exact ranks of ``degree_columns``.
-    Homology dimensions are exact either way.  Failures are report content,
-    not exceptions.
+    When they are all zero, each internal degree takes the ranks of one
+    top-down chain mod p (``_chain_ranks``): over GF(p) they are the ranks,
+    and over QQ they decide an entry where they meet their upper bound.
+    Every other entry, and every rank of a complex with a nonzero
+    composite, takes the exact ranks of ``degree_columns``.  Homology
+    dimensions are exact either way.  Failures are report content, not
+    exceptions.
     """
     pres = cplx.presentation
     dims = {}
@@ -503,30 +498,31 @@ def verify_complex(cplx, internal_cap):
                     report.scalar_entries.append((i, k, j))
     cache = {}
     chains = {}
-    certify = pres.field == QQ and all(composites)
 
-    def closed(e):
+    def rank(e, indices, bound):
+        """The summed ranks of the d_i, i in ``indices``, at e: the chain's
+        when they are exact (GF(p)) or meet ``bound`` (QQ), else exact."""
         if e not in chains:
-            chains[e] = certify and _chain_closes(cplx, e, pdim(e))
-        return chains[e]
+            chains[e] = _chain_ranks(cplx, e) if all(composites) else None
+        chain = chains[e]
+        if chain is not None:
+            total = sum(chain[i] for i in indices)
+            if pres.field.characteristic or total == bound:
+                return total
+        return sum(_exact_rank(cache, cplx, i, e) for i in indices)
 
     # augmentation: d_1 surjective onto A_e for 1 <= e <= cap
     if cplx.maps:
         for e in range(1, internal_cap + 1):
             target = pdim(e)
-            report.augmentation[e] = (
-                target == 0 or closed(e)
-                or _exact_rank(cache, cplx, 1, e) == target)
+            report.augmentation[e] = (target == 0
+                                      or rank(e, (1,), target) == target)
     # homology at positions 1..length-1
     for i in range(1, cplx.length):
         for e in range(0, internal_cap + 1):
             dim_here = sum(pdim(e - s) for s in cplx.shifts(i))
-            if dim_here == 0 or closed(e):
-                report.homology[(i, e)] = 0
-                continue
-            report.homology[(i, e)] = (dim_here
-                                       - _exact_rank(cache, cplx, i, e)
-                                       - _exact_rank(cache, cplx, i + 1, e))
+            report.homology[(i, e)] = dim_here and (
+                dim_here - rank(e, (i, i + 1), dim_here))
     return report
 
 

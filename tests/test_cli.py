@@ -353,6 +353,26 @@ def test_a_cap_below_length_plus_two_is_raised(workdir):
     assert load("cap.json")["config"]["cap"] == 4
 
 
+def test_a_subcommand_without_length_keeps_its_cap(workdir):
+    assert run(["quotient", "qplane.pres", "--element", "x*y", "--cap", "3",
+                "--json-out", "cap.json"]) == 0
+    assert load("cap.json")["config"]["cap"] == 3
+
+
+def test_a_cap_too_small_for_sigma_is_an_input_error(workdir, capsys):
+    """sigma resolves to length 2, which needs degree 3: at cap 2 it exits
+    2, and an explicit cap is never replaced by length + 2."""
+    code = run(["sigma", "qplane.pres", "--point", "1,0", "--cap", "2",
+                "--json-out", "cap.json"])
+    assert code in (0, 2)
+    if code == 0:
+        assert load("cap.json")["config"]["cap"] == 2
+    else:
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and "Traceback" not in err
+        assert not os.path.exists("cap.json")
+
+
 @pytest.mark.parametrize("command", ["check-point-exact", "report"])
 def test_negative_max_degree_exits_2(workdir, capsys, command):
     assert run([command, "qplane.pres", "--max-degree", "-1",

@@ -229,7 +229,10 @@ def test_residues_do_not_depend_on_the_order_of_the_primes():
     assert results[0] == results[1]
 
 
-def test_a_prime_field_builds_no_residue_tables():
+def test_a_prime_field_builds_tables_only_at_its_characteristic():
+    """Over GF(32003) the chain runs at the characteristic: the algebra and
+    its quotient hold tables in field scalars and in ints mod 32003, and
+    none at a working prime."""
     field = GF(32003)
     q = [[1 if i == j else -1 for j in range(4)] for i in range(4)]
     pres = QuadraticPresentation.skew(field, ["a", "b", "c", "d"], q,
@@ -239,8 +242,8 @@ def test_a_prime_field_builds_no_residue_tables():
     P = linear_resolution(pres, "right", 4)
     T, _ = shamash(pres, P, f, length=4, internal_cap=6)
     assert T.meta["verification"].is_exact()
-    assert set(pres._tables) == {None}
-    assert set(T.presentation._tables) == {None}
+    assert set(pres._tables) == {None, 32003}
+    assert set(T.presentation._tables) == {None, 32003}
 
 
 N = reduce(lambda a, b: a * b, MODULAR_PRIMES)

@@ -11,7 +11,7 @@ from quadralg.resolutions import (FreeComplex, FreeModuleMap,
                                   diagonal_map, geometry_ring,
                                   linear_resolution, scalar_chain_isomorphism,
                                   twist_complex, verify_complex, zero_map)
-from quadralg.scalars import QQ
+from quadralg.scalars import GF, QQ
 from conftest import (quotient_resolutions, reference_degree_columns,
                       sum_of_squares)
 
@@ -180,21 +180,26 @@ def test_scalar_chain_iso_rejects_non_isomorphic(quantum_plane):
 
 def assert_columns_match(fmap, top):
     """Columns, row count and labels agree in every internal degree whose
-    products stay within A_top, and over QQ the residue columns are the
-    residues of the rational ones at both first working primes, also when
-    a third of the column indices are skipped."""
+    products stay within A_top, and the residue columns are those of the
+    field-scalar ones: their residues at both first working primes over
+    QQ, their ``.val``s at the characteristic over GF(p), also when a third
+    of the column indices are skipped."""
+    field = fmap.presentation.field
     low = min(fmap.target_shifts, default=0)
     for e in range(0, top + low + 1):
         columns, nrows, labels = fmap.degree_columns(e)
         assert (columns, nrows, labels) == reference_degree_columns(fmap, e)
-        if fmap.presentation.field != QQ:
-            continue
-        for p in MODULAR_PRIMES[:2]:
+        if field == QQ:
+            primes = MODULAR_PRIMES[:2]
+            wanted = [[{i: r for i, v in col.items() if (r := residue(v, p))}
+                       for col in columns] for p in primes]
+        else:
+            primes = (field.characteristic,)
+            wanted = [[{i: v.val for i, v in col.items()} for col in columns]]
+        for p, want in zip(primes, wanted):
             got, got_rows = fmap.residue_columns(e, p)
             assert got.prime == p and got_rows == nrows
-            assert list(got) == [{i: r for i, v in col.items()
-                                  if (r := residue(v, p))}
-                                 for col in columns]
+            assert list(got) == want
             # the chain's restricted columns: every index in skip left out
             skip = set(range(e % 3, len(columns), 3))
             kept, kept_rows = fmap.residue_columns(e, p, skip)
@@ -253,6 +258,23 @@ def test_degree_columns_of_a_mixed_degree_map(sec5_algebra, case3_algebra):
         fmap = mixed_degree_map(pres)
         assert any(e.degree == 3 for row in fmap.entries for e in row)
         assert_columns_match(fmap, 6)
+
+
+@pytest.mark.parametrize("p", [7, 32003])
+def test_degree_columns_over_a_prime_field(p):
+    """The +-1-skew quadric over GF(p): a mixed-degree map, and every map
+    of its quotient resolutions and of their towers."""
+    q = [[1 if i == j else -1 for j in range(4)] for i in range(4)]
+    pres = QuadraticPresentation.skew(GF(p), ["x1", "x2", "x3", "x4"], q)
+    assert_columns_match(mixed_degree_map(pres), 6)
+    complexes, towers = quotient_resolutions(pres, sum_of_squares(pres),
+                                             length=3, internal_cap=5)
+    for side in ("right", "left"):
+        assert complexes[side].meta["verification"].is_exact()
+        for d in complexes[side].maps:
+            assert_columns_match(d, 5)
+        for c in towers[side].cmaps.values():
+            assert_columns_match(c, 5)
 
 
 def test_degree_columns_do_not_depend_on_call_history():
