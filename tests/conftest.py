@@ -49,6 +49,18 @@ def case3_algebra():
     return QuadraticPresentation.skew(QQ, ["x1", "x2", "x3", "x4"], q)
 
 
+# not Koszul (homology of dim 11 at (2, 4)); t commutes with x, y and z
+NON_KOSZUL = """vars x, y, z, t
+rel -x^2 + 2*x*y - 2*x*z - 2*y^2 - 2*y*z - 2*z*x + 2*z*y - 2*z^2
+rel x^2 - x*y + x*z - 2*y*x + 2*y^2 - y*z + z*x + z*y + 2*z^2
+rel -x^2 - x*z - y*x + y^2 - 2*z*x + z*y + 2*z^2
+rel -2*x^2 - x*y - 2*y*x + 2*y*z + z*x + 2*z*y - z^2
+rel t*x - x*t
+rel t*y - y*t
+rel t*z - z*t
+"""
+
+
 def sum_of_squares(pres):
     total = None
     for i in range(pres.n):

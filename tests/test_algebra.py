@@ -20,7 +20,7 @@ from quadralg.resolutions import linear_resolution
 from quadralg.exactlinalg import (RowSpace, columns_to_rows, invert_matrix,
                                   mat_mul, rank_of_columns, solve_batch)
 from quadralg.scalars import GF, QQ
-from conftest import right_walk_product, sum_of_squares
+from conftest import NON_KOSZUL, right_walk_product, sum_of_squares
 
 
 def brute_component_dim(pres, d):
@@ -596,16 +596,6 @@ def test_unreferenced_presentation_leaves_the_intern_table():
 
 
 # ---- the two component builders ------------------------------------------
-
-NON_KOSZUL = """vars x, y, z, t
-rel -x^2 + 2*x*y - 2*x*z - 2*y^2 - 2*y*z - 2*z*x + 2*z*y - 2*z^2
-rel x^2 - x*y + x*z - 2*y*x + 2*y^2 - y*z + z*x + z*y + 2*z^2
-rel -x^2 - x*z - y*x + y^2 - 2*z*x + z*y + 2*z^2
-rel -2*x^2 - x*y - 2*y*x + 2*y*z + z*x + 2*z*y - z^2
-rel t*x - x*t
-rel t*y - y*t
-rel t*z - z*t
-"""
 
 
 def assert_builders_agree(pres, top):

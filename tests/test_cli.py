@@ -16,6 +16,7 @@ from quadralg.cli import main
 from quadralg.exactlinalg import MODULAR_PRIMES
 from quadralg.parsing import ParseError, parse_presentation_text
 from quadralg.resolutions import linear_resolution
+from conftest import NON_KOSZUL
 
 QPLANE = """field QQ
 vars x, y
@@ -27,17 +28,6 @@ vars x, y, z
 rel x*y + y*x + 2*z^2
 rel y*z + z*y + 2*x^2
 rel z*x + x*z + 2*y^2
-"""
-
-# not Koszul (homology of dim 11 at (2, 4)); t commutes with x, y and z
-NON_KOSZUL = """vars x, y, z, t
-rel -x^2 + 2*x*y - 2*x*z - 2*y^2 - 2*y*z - 2*z*x + 2*z*y - 2*z^2
-rel x^2 - x*y + x*z - 2*y*x + 2*y^2 - y*z + z*x + z*y + 2*z^2
-rel -x^2 - x*z - y*x + y^2 - 2*z*x + z*y + 2*z^2
-rel -2*x^2 - x*y - 2*y*x + 2*y*z + z*x + 2*z*y - z^2
-rel t*x - x*t
-rel t*y - y*t
-rel t*z - z*t
 """
 
 SKEW235 = """vars x, y, z

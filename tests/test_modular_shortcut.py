@@ -13,7 +13,7 @@ from quadralg.parsing import parse_presentation_text
 from quadralg.resolutions import (FreeComplex, FreeModuleMap,
                                   linear_resolution, verify_complex)
 from quadralg.scalars import GF, QQ
-from test_cli import NON_KOSZUL
+from conftest import NON_KOSZUL
 
 NAMES = ["x", "y", "z"]
 _q = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 3),
