@@ -303,10 +303,7 @@ def _cmd_quotient(args, pres, cap, lift):
 
 
 def _cmd_sigma(args, pres, cap, lift):
-    res = _resolutions(pres, ["right", "left"], 2)
-    pair = check_g1(pres, res)
-    if pair is None:
-        return ({"g1": False}, ["(G1) fails: sigma is undefined"])
+    # the point is input: refuse a malformed one before (G1) is decided
     try:
         pt = ProjPoint([Fraction(c) for c in args.point.split(",")],
                        pres.field)
@@ -315,6 +312,10 @@ def _cmd_sigma(args, pres, cap, lift):
     if len(pt) != len(pres.names):
         raise ParseError(f"point needs {len(pres.names)} coordinates, "
                          f"got {len(pt)}")
+    res = _resolutions(pres, ["right", "left"], 2)
+    pair = check_g1(pres, res)
+    if pair is None:
+        return ({"g1": False}, ["(G1) fails: sigma is undefined"])
     if not pair.contains_point(pt):
         raise ParseError(f"{pt} is not on E, where sigma is defined")
     image = sigma_at(pair, pt)

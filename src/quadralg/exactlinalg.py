@@ -11,6 +11,8 @@ and two elimination kernels on sparse rows, one per kind of field.
   close.  ``modular_rank`` also records the rows at which its echelon
   found its pivots (``leads``), so that a verifier can eliminate the next
   map of a complex only on the columns outside the image of this one.
+  The echelon is a ``ModularEchelon``, which can also grow row by row, so
+  that a caller can stop at the first rows that reach a rank.
 
 The matrices of ``modular_rank`` are built in F_p from the start: the
 algebra reduces its multiplication tables mod p once per prime (a GF(p)
@@ -250,9 +252,9 @@ class ResidueColumns(list):
         self.leads = None
 
 
-def _echelon_leads(rows, p):
-    """The pivot columns of an echelon over F_p of sparse rows {column:
-    nonzero residue}, which are consumed: one per unit of rank.
+class ModularEchelon:
+    """An echelon over F_p of sparse rows {column: nonzero residue}, which
+    may grow by several ``insert`` calls: one pivot row per unit of rank.
 
     Rows are inserted shortest first into an echelon keyed by each row's
     largest column, with no back-reduction.  On the resolution certificates
@@ -261,27 +263,44 @@ def _echelon_leads(rows, p):
     as it was found, and its lead is inverted the first time a reduction
     uses it, so that a row no later row meets costs no inverse and no copy.
     """
-    pivots = {}
-    inverses = {}
-    for row in sorted(filter(None, rows), key=len):
-        while row:
-            lead = max(row)
-            prow = pivots.get(lead)
-            if prow is None:
-                pivots[lead] = row
-                break
-            inv = inverses.get(lead)
-            if inv is None:
-                inv = inverses[lead] = pow(prow[lead], -1, p)
-            coeff = row[lead] * inv % p
-            get = row.get
-            for c, v in prow.items():
-                acc = (get(c, 0) - coeff * v) % p
-                if acc:
-                    row[c] = acc
-                else:
-                    del row[c]
-    return list(pivots)
+
+    __slots__ = ("p", "pivots", "_inverses")
+
+    def __init__(self, p):
+        self.p = p
+        self.pivots = {}  # the largest column of a pivot row -> the row
+        self._inverses = {}
+
+    def insert(self, rows):
+        """Insert the rows, which are consumed; returns the rank so far."""
+        p, pivots, inverses = self.p, self.pivots, self._inverses
+        for row in sorted(filter(None, rows), key=len):
+            while row:
+                lead = max(row)
+                prow = pivots.get(lead)
+                if prow is None:
+                    pivots[lead] = row
+                    break
+                inv = inverses.get(lead)
+                if inv is None:
+                    inv = inverses[lead] = pow(prow[lead], -1, p)
+                coeff = row[lead] * inv % p
+                get = row.get
+                for c, v in prow.items():
+                    acc = (get(c, 0) - coeff * v) % p
+                    if acc:
+                        row[c] = acc
+                    else:
+                        del row[c]
+        return len(pivots)
+
+
+def _echelon_leads(rows, p):
+    """The pivot columns of a ``ModularEchelon`` of the rows, which are
+    consumed: one per unit of rank."""
+    echelon = ModularEchelon(p)
+    echelon.insert(rows)
+    return list(echelon.pivots)
 
 
 def modular_rank(columns, nrows):

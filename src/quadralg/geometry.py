@@ -5,8 +5,10 @@ second differentials; semi-standardness compares them, the (G1) condition
 adds point-exactness at degree 1 and produces the geometric pair (E, sigma)
 with sigma evaluated pointwise through the relation pairing.  Point-exactness
 at higher degrees is decided ideal-theoretically.  The rank lower bound is
-projective emptiness of the dropped-rank locus.  Under (G1) the rank upper
-bound at degree i follows from the lower bound at degree i - 1 through the
+projective emptiness of the dropped-rank locus, tested with the first
+minors that span every form of their degree (then no Groebner basis is
+needed) or with all of them.  Under (G1) the rank upper bound at degree i
+follows from the lower bound at degree i - 1 through the
 twisted composite identity M_{i-1}(p)·M_i(sigma(p)) = 0 (right; the left
 side multiplies the other way round), once an exact rank shows that the
 composite's entries lie in the span of the relations; otherwise the
@@ -93,11 +95,19 @@ class GeometricPair:
 
 def _rank_exactly_one_less(variety, mat, n_minus):
     """All points of the variety have rank >= n_minus on ``mat``: the locus
-    where the n_minus-minors also vanish must be projectively empty."""
+    where the n_minus-minors also vanish must be projectively empty.
+
+    ``projective_empty`` decides it on the variety ideal plus
+    ``mat.spanning_minors(n_minus)``: the first minors whose span is every
+    form of degree n_minus (then it needs no Groebner basis), or all of
+    them when none spans.  The verdict is exact either way: the prefix lies
+    in the ideal of n_minus-minors, so emptiness with the prefix proves
+    emptiness with every minor, and with all of them the test is the full
+    one."""
     if n_minus <= 0:
         return True
-    lower = mat.minor_ideal(n_minus)
-    if not lower.gens:
+    lower = mat.spanning_minors(n_minus)
+    if not lower:
         # rank can never reach n_minus; vacuously fine only on empty loci
         return projective_empty(variety.ideal)
     return projective_empty(variety.ideal + lower)
@@ -200,6 +210,11 @@ class DegreeEvidence:
     # what decided the upper bound: "identity", "minors", "sample" (a
     # witness) or "empty" (rho < 0); not serialized
     upper_by: str = None
+    # what decided the lower bound: "vacuous" (rho <= 0), "span" (the
+    # first rho-minors span every form of degree rho), "minors" (the
+    # emptiness test with every rho-minor) or "sample" (a witness); not
+    # serialized
+    lower_by: str = None
 
     @property
     def ok(self):
@@ -293,10 +308,18 @@ def check_point_exact(presentation, side, max_degree, resolutions=None,
     1 <= i <= max_degree + 1.
 
     Lower bound: the variety meets the rho_i-minor locus in the empty set
-    (vacuous when rho_i = 0).  Upper bound at degree i >= 2: the twisted
-    composite identity below, when it applies; otherwise (no (G1), a
-    failed span check, an undecided lower bound at degree i - 1) every
-    (rho_i + 1)-minor lies in the radical of the variety ideal.  Both
+    (vacuous when rho_i = 0).  ``projective_empty`` decides it on the
+    variety ideal plus ``spanning_minors(rho_i)``, the first rho_i-minors
+    whose span is every form of degree rho_i: then the ideal contains every
+    monomial of that degree and is empty with no Groebner basis
+    (``lower_by`` "span").  When no prefix spans, every rho_i-minor goes to
+    Buchberger ("minors").  A prefix lies in the ideal of all the minors,
+    so the verdict is the one all of them give.
+
+    Upper bound at degree i >= 2: the twisted composite identity below,
+    when it applies; otherwise (no (G1), a failed span check, an
+    undecided lower bound at degree i - 1) every (rho_i + 1)-minor lies
+    in the radical of the variety ideal.  Both
     decide rank <= rho_i at every point of E over the algebraic closure.
     When ``sample_prefilter`` is set, small rational points are scanned
     first; a rank mismatch there is a conclusive negative with witness.
@@ -366,13 +389,14 @@ def check_point_exact(presentation, side, max_degree, resolutions=None,
             ev.upper_ok = projective_empty(variety.ideal)
             ev.upper_by = "empty"
             ev.lower_vacuous = True
+            ev.lower_by = "vacuous"
             prev = None
             continue
         for pt in sample:
             rank = mat.rank_at(pt)
             if rank != rho:
                 ev.witness = pt
-                ev.upper_by = "sample"
+                ev.upper_by = ev.lower_by = "sample"
                 if rank > rho:
                     ev.upper_ok = False
                 else:
@@ -395,7 +419,9 @@ def check_point_exact(presentation, side, max_degree, resolutions=None,
                 ev.upper_failures.append(failure)
         if rho == 0:
             ev.lower_vacuous = True
+            ev.lower_by = "vacuous"
         else:
+            ev.lower_by = "span" if mat.minors_span(rho) else "minors"
             ev.lower_ok = _rank_exactly_one_less(variety, mat, rho)
         prev = mat if ev.lower_ok else None
     return report

@@ -4,15 +4,19 @@ The reduction core works on integer-coefficient polynomials (fraction-free
 pseudo-reduction with content stripping) over QQ, or on residues over F_p;
 the public layer speaks CommPoly.  Pair pruning follows the Gebauer-Moeller
 update, pair selection is the normal strategy (smallest lcm first).
-Projective emptiness is read off the leading monomials of one basis.
+Projective emptiness is read off the leading monomials of one basis, or,
+with no basis, from generators of one degree D that span every form of
+degree D (their rank mod p: a lower bound over QQ, exact over GF(p)).
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
+from .exactlinalg import (ResidueColumns, modular_rank, over_working_primes,
+                          residue)
 from .polynomials import CommPoly, EliminateLast
 
 
@@ -459,14 +463,49 @@ def variety_equal(ideal_a, ideal_b):
     return all(tester_a.contains(g) for g in ideal_b.gens)
 
 
+def _spans_a_degree(ideal):
+    """Whether the generators of some degree D span every form of degree D,
+    C(n + D - 1, D) of them; then the ideal contains every monomial of
+    degree D.  The rank of their coefficient vectors is taken at the
+    characteristic over GF(p), where it is exact, and over QQ at the first
+    of ``MODULAR_PRIMES`` that divides no denominator, where it is a lower
+    bound (when every prime divides one, nothing is decided)."""
+    ring = ideal.ring
+    by_degree = {}
+    for g in ideal.gens:
+        by_degree.setdefault(g.total_degree(), []).append(g)
+    for degree, gens in by_degree.items():
+        forms = comb(ring.nvars + degree - 1, degree)
+        if len(gens) < forms:
+            continue
+
+        def rank(p):
+            return modular_rank(ResidueColumns(p, [
+                {e: r for e, c in g.terms.items() if (r := residue(c, p))}
+                for g in gens]), forms)
+
+        p = ring.field.characteristic
+        if (rank(p) if p else over_working_primes(rank)) == forms:
+            return True
+    return False
+
+
 def projective_empty(ideal):
     """Z(ideal) empty in projective space?  Requires homogeneous generators.
-    By the finiteness theorem (Cox, Little, O'Shea, ch. 5 sec. 3): exactly
-    when 1 or a pure power of every variable is a leading monomial of the
-    reduced basis, over the algebraic closure of the field."""
+
+    When the generators of one degree D span every form of degree D
+    (``_spans_a_degree``), the ideal contains m^D, a power of the irrelevant
+    ideal, so it has no projective zero (the projective Nullstellensatz,
+    Cox, Little, O'Shea, ch. 8 sec. 3), and no basis is computed.  A span
+    that a rank mod p misses decides nothing, and otherwise, by the
+    finiteness theorem (ch. 5 sec. 3): exactly when 1 or a pure power of
+    every variable is a leading monomial of the reduced basis, over the
+    algebraic closure of the field."""
     for g in ideal.gens:
         if not g.is_homogeneous():
             raise ValueError(f"non-homogeneous generator: {g}")
+    if _spans_a_degree(ideal):
+        return True
     leads = [entry.lm for entry in ideal.groebner()._entries]
     pure = {i for lm in leads for i, k in enumerate(lm) if k and k == sum(lm)}
     return len(pure) == ideal.ring.nvars or any(not any(m) for m in leads)

@@ -5,15 +5,17 @@ generators, stored as coefficient tuples.  Its t-minors are commutative
 homogeneous polynomials of degree t; evaluating at a projective point gives a
 scalar matrix whose rank drops exactly on the minor locus.  The minors are
 expanded fraction-free, on integer term dicts, and deduplicated up to scalar
-as they are made.
+as they are made.  An emptiness test with the minors can often stop early:
+``spanning_minors`` expands them only until their span is every form of
+their degree.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
-from .exactlinalg import exact_rank
+from .exactlinalg import MODULAR_PRIMES, ModularEchelon, exact_rank, residue
 from .groebner import Ideal
 from .polynomials import DEGREVLEX, CommPoly, PolyRing
 from .scalars import QQ
@@ -61,11 +63,12 @@ def geometry_ring(presentation):
 class LinearFormMatrix:
     """Matrix over the degree-1 part of the polynomial ring."""
 
-    __slots__ = ("ring", "rows", "shape", "_minors")
+    __slots__ = ("ring", "rows", "shape", "_minors", "_spanning")
 
     def __init__(self, ring, rows):
         self.ring = ring
         self._minors = {}  # t -> the list ``minors(t)`` returns a copy of
+        self._spanning = {}  # t -> (``spanning_minors(t)``, whether it spans)
         self.rows = tuple(tuple(tuple(ring.field(c) for c in entry)
                                 for entry in row) for row in rows)
         if any(len(e) != ring.nvars for row in self.rows for e in row):
@@ -103,8 +106,9 @@ class LinearFormMatrix:
         occurrence, then stably sorted by leading monomial.  Empty when t
         exceeds min(shape): the locus is all of projective space.
 
-        Computed once per matrix and t.  Laplace expansion along rows,
-        memoized per row set.  Each row is scaled by the positive integer
+        Computed once per matrix and t; a ``spanning_minors(t)`` that
+        stopped early leaves its prefix to be expanded again here.  Laplace
+        expansion along rows, memoized per row set.  Each row is scaled by the positive integer
         clearing its denominators (residues over GF(p)), which changes no
         normalized minor, and a monomial is one int in base t + 1, so
         x_i * m is m + (t + 1)**i.
@@ -115,12 +119,71 @@ class LinearFormMatrix:
             self._minors[t] = self._expand_minors(t)
         return list(self._minors[t])
 
+    def spanning_minors(self, t):
+        """The first distinct t-minors whose span is every form of degree t,
+        sorted like ``minors``; all of ``minors(t)`` when no prefix spans.
+        "First" is in order of first occurrence, or in the order of
+        ``minors(t)`` when that is already known.
+
+        Each minor's coefficient vector goes into one ``ModularEchelon``
+        as the minor is found: at the characteristic over GF(p), and over
+        QQ at the first working prime, where the rank is a lower bound (the
+        minors have integer coefficients, so no denominator clashes).  The
+        expansion stops when the rank reaches C(n + t - 1, t), so each
+        vector is reduced once and no shorter prefix spans mod p.  A pass
+        that sees every minor stores them as ``minors(t)``, so such a
+        matrix is expanded once.  Memoized per t.
+
+        Every verdict drawn from a prefix is exact: the prefix lies in the
+        ideal of t-minors, so an ideal containing it with no projective
+        zero shows that the ideal with every t-minor has none.
+        """
+        return list(self._span(t)[0])
+
+    def minors_span(self, t):
+        """Whether ``spanning_minors(t)`` spans every form of degree t
+        (False also when only a rank mod p falls short over QQ)."""
+        return self._span(t)[1]
+
+    def _span(self, t):
+        if t < 1:
+            raise ValueError("t must be >= 1")
+        if t not in self._spanning:
+            forms = comb(self.ring.nvars + t - 1, t)
+            p = self.ring.field.characteristic or MODULAR_PRIMES[0]
+            echelon = ModularEchelon(p)
+            known = self._minors.get(t)
+            found = []
+            for minor in (known if known is not None
+                          else self._distinct_minors(t)):
+                found.append(minor)
+                if echelon.insert([{e: r for e, c in minor.terms.items()
+                                    if (r := residue(c, p))}]) == forms:
+                    self._spanning[t] = (self._by_lead(found), True)
+                    break
+            else:
+                # every minor was seen, and they do not span
+                if known is None:
+                    self._minors[t] = known = self._by_lead(found)
+                self._spanning[t] = (known, False)
+        return self._spanning[t]
+
     def _expand_minors(self, t):
+        return self._by_lead(self._distinct_minors(t))
+
+    def _by_lead(self, minors):
+        key = self.ring.order.key
+        return sorted(minors, key=lambda q: key(q.lead_monomial()))
+
+    def _distinct_minors(self, t):
+        """Yield each distinct normalized t-minor once, in order of first
+        occurrence: row sets in order, and column sets within each."""
         s, r = self.shape
         if t > min(s, r):
-            return []
+            return
         ring = self.ring
         p = ring.field.characteristic
+        key = ring.order.key
         shifts = [(t + 1) ** i for i in range(ring.nvars)]
         rows = []
         for row in self.rows:
@@ -128,7 +191,7 @@ class LinearFormMatrix:
             rows.append([[(sh, c.val if p else c.numerator * den
                            // c.denominator)
                           for sh, c in zip(shifts, e) if c] for e in row])
-        out, seen = [], set()
+        seen = set()
         for row_set in combinations(range(s), t):
             memo = {(): {0: 1}}
 
@@ -155,8 +218,8 @@ class LinearFormMatrix:
                 m = det(0, col_set)
                 if not m:
                     continue
-                # a fixed term pins the scalar; primitive() then moves it to
-                # the order's leading term on the survivors only
+                # a fixed term pins the scalar for the deduplication; the
+                # survivors move it to the order's leading term below
                 c = m[max(m)]
                 if p:
                     g = pow(c, -1, p)
@@ -166,12 +229,15 @@ class LinearFormMatrix:
                     canon = frozenset((e, v // g) for e, v in m.items())
                 if canon not in seen:
                     seen.add(canon)
-                    out.append(CommPoly(ring, {
-                        tuple(e // sh % (t + 1) for sh in shifts):
-                        ring.field(v) for e, v in canon}).primitive())
-        key = ring.order.key
-        out.sort(key=lambda q: key(q.lead_monomial()))
-        return out
+                    terms = {tuple(e // sh % (t + 1) for sh in shifts): v
+                             for e, v in canon}
+                    # as primitive() would: canon is content-free, so only
+                    # the leading coefficient's sign (QQ) or inverse (GF(p))
+                    c = terms[max(terms, key=key)]
+                    g = pow(c, -1, p) if p else (1 if c > 0 else -1)
+                    yield CommPoly(ring, {
+                        e: ring.field(v * g % p if p else v * g)
+                        for e, v in terms.items()})
 
     def minor_ideal(self, t):
         return Ideal(self.ring, self.minors(t))

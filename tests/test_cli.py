@@ -258,13 +258,16 @@ def test_python_dash_m_quadralg_help():
     assert proc.stdout.startswith("usage: quadralg")
 
 
-@pytest.mark.parametrize("point", ["0,0", "1", "1,2,3", "1/0,1"])
+@pytest.mark.parametrize("point", ["0,0", "1", "1,2,3", "1/0,1", "a,b"])
 def test_sigma_bad_point_exits_2(workdir, capsys, point):
-    code = run(["sigma", "qplane.pres", "--point", point,
-                "--json-out", "sig.json"])
-    assert code == 2
-    assert capsys.readouterr().err.startswith("input error:")
-    assert not os.path.exists("sig.json")
+    # the free algebra fails (G1): the point is refused before that verdict
+    (workdir / "free.pres").write_text("field QQ\nvars x, y\n")
+    for name in ("qplane.pres", "free.pres"):
+        code = run(["sigma", name, "--point", point,
+                    "--json-out", "sig.json"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("input error:")
+        assert not os.path.exists("sig.json")
 
 
 def test_invariant_breach_exits_3(workdir, monkeypatch):

@@ -5,8 +5,9 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quadralg.exactlinalg import (MODULAR_PRIMES, PrimeClash, ResidueColumns,
-                                  RowSpace, exact_rank, invert_matrix,
+from quadralg.exactlinalg import (MODULAR_PRIMES, ModularEchelon, PrimeClash,
+                                  ResidueColumns, RowSpace, exact_rank,
+                                  invert_matrix,
                                   mat_mul, modular_rank, nullspace,
                                   over_working_primes, rank_of_columns,
                                   residue, solve_batch)
@@ -186,6 +187,19 @@ def test_rank_mod_p_agrees_with_rowspace(case):
     p, columns, nrows = case
     assert (modular_rank(residue_columns(columns, p), nrows)
             == _rowspace_rank(columns, p))
+
+
+@settings(max_examples=80, deadline=None)
+@given(column_matrices(), st.data())
+def test_an_echelon_grown_in_batches_has_the_rank_of_all_rows(case, data):
+    p, columns, nrows = case
+    rows = [dict(col) for col in residue_columns(columns, p)]
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(rows)), max_size=3)))
+    echelon = ModularEchelon(p)
+    ranks = [echelon.insert(rows[a:b])
+             for a, b in zip([0] + cuts, cuts + [len(rows)])]
+    assert ranks == sorted(ranks)
+    assert ranks[-1] == len(echelon.pivots) == _rowspace_rank(columns, p)
 
 
 def _certificate(columns, nrows, tried):

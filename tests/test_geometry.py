@@ -15,7 +15,7 @@ from quadralg.linearforms import ProjPoint
 from quadralg.polynomials import CommPoly, PolyRing
 from quadralg.resolutions import geometry_ring, linear_resolution
 from quadralg.scalars import GF, QQ
-from conftest import sum_of_squares
+from conftest import quotient_resolutions, sum_of_squares
 
 
 @pytest.fixture(scope="module")
@@ -189,6 +189,35 @@ def test_point_exact_negative_control(negative_control):
     assert rep.failed_degrees() == [3]
 
 
+def test_lower_by_reads_minors_where_the_lower_bound_fails(
+        negative_control):
+    for side in ("right", "left"):
+        rep = check_point_exact(negative_control, side, 2)
+        assert rep.failed_degrees() == [3]
+        assert [ev.lower_by for ev in rep.evidence] == [
+            "span", "span", "minors"]
+
+
+@pytest.mark.parametrize("name", ["commutative-4", "mixed-sign-4",
+                                  "skew-pm1-4"])
+def test_lower_by_reads_span_on_the_quadric_quotients(name):
+    """The rho-minors span every form of degree rho at every degree of
+    the 4-variable quadric quotients, so no lower bound needs a basis."""
+    signs = {"commutative-4": [[1] * 4 for _ in range(4)],
+             "mixed-sign-4": [[1, -1, -1, 1], [-1, 1, -1, -1],
+                              [-1, -1, 1, -1], [1, -1, -1, 1]],
+             "skew-pm1-4": [[1 if i == j else -1 for j in range(4)]
+                            for i in range(4)]}[name]
+    A = QuadraticPresentation.skew(QQ, ["x1", "x2", "x3", "x4"], signs)
+    res, _ = quotient_resolutions(A, sum_of_squares(A), length=4,
+                                  internal_cap=5)
+    B = res["right"].presentation
+    for side in ("right", "left"):
+        rep = check_point_exact(B, side, 3, res)
+        assert rep.ok
+        assert [ev.lower_by for ev in rep.evidence] == ["span"] * 4
+
+
 def test_pointwise_complex_exact_positive(quantum_plane):
     pair = check_g1(quantum_plane)
     for coords in [(1, 1), (1, 0), (0, 1), (2, -3)]:
@@ -235,7 +264,7 @@ def test_point_variety_well_defined_across_resolutions(case2_algebra):
     """The variety does not depend on which resolution produced the second
     differential (uniqueness up to scalar chain isomorphism)."""
     from quadralg.shamash import shamash
-    from conftest import sum_of_squares
+    from conftest import quotient_resolutions, sum_of_squares
     f = sum_of_squares(case2_algebra)
     T, _ = shamash(case2_algebra,
                    linear_resolution(case2_algebra, "right", 3), f,

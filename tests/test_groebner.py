@@ -259,3 +259,66 @@ def test_projective_empty_matches_rabinowitsch_on_acceptance_ideals(
                 assert got == _rabinowitsch_empty(ideal)
                 verdicts.append(got)
     assert True in verdicts and False in verdicts
+
+
+def _count_bases(monkeypatch):
+    from quadralg import groebner as G
+    calls = []
+    real = G._groebner_of
+
+    def spy(ring, polys, order):
+        calls.append(len(polys))
+        return real(ring, polys, order)
+
+    monkeypatch.setattr(G, "_groebner_of", spy)
+    return calls
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)])
+def test_spanning_degree_is_empty_without_a_basis(monkeypatch, field):
+    ring = PolyRing(field, ["x", "y", "z"])
+    x, y, z = ring.gens()
+    calls = _count_bases(monkeypatch)
+    # the six quadrics span every form of degree 2; the cubic is ignored
+    gens = [x * x, x * y + y * z, y * y, x * z, z * z - x * y, y * z,
+            x * y * z]
+    assert projective_empty(Ideal(ring, gens))
+    assert calls == []
+
+
+def test_a_rank_lost_mod_p_falls_back_to_buchberger(monkeypatch, rxy):
+    from quadralg.exactlinalg import MODULAR_PRIMES
+    x, y = rxy.gens()
+    p = MODULAR_PRIMES[0]
+    calls = _count_bases(monkeypatch)
+    # they span the quadrics over QQ, but xy + p*y^2 is xy mod p
+    assert projective_empty(Ideal(rxy, [x * x, x * y, x * y + p * y * y]))
+    assert calls == [3]
+
+
+def test_a_denominator_divisible_by_p_moves_to_the_next_prime(monkeypatch,
+                                                              rxy):
+    from quadralg import groebner as G
+    from quadralg.exactlinalg import MODULAR_PRIMES
+    x, y = rxy.gens()
+    primes, real = [], G.modular_rank
+
+    def spy(columns, nrows):
+        primes.append(columns.prime)
+        return real(columns, nrows)
+
+    monkeypatch.setattr(G, "modular_rank", spy)
+    calls = _count_bases(monkeypatch)
+    gens = [(x * x).scale(Fraction(1, MODULAR_PRIMES[0])), x * y, y * y]
+    assert projective_empty(Ideal(rxy, gens))
+    assert primes == [MODULAR_PRIMES[1]]
+    assert calls == []
+
+
+def test_a_nonspanning_nonempty_ideal_stays_nonempty(monkeypatch, rxyz):
+    x, y, z = rxyz.gens()
+    calls = _count_bases(monkeypatch)
+    # six quadrics, but all vanish at (0 : 0 : 1)
+    gens = [x * x, x * y, y * y, x * z, y * z, x * x + y * z]
+    assert not projective_empty(Ideal(rxyz, gens))
+    assert calls == [6]
