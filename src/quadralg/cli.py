@@ -6,7 +6,8 @@ resolutions, pointwise sigma evaluation, and a combined report.  Human text
 goes to stdout; a deterministic JSON document goes to --json-out.
 
 Exit codes: 0 = ran (verdicts are inside the report, false verdicts are not
-errors), 2 = input error, 3 = internal invariant breach.
+errors), 2 = input error, 3 = internal invariant breach.  A reader that
+closes stdout early leaves the code at 0: the run completed.
 """
 
 from __future__ import annotations
@@ -141,14 +142,22 @@ def _emit(args, config, results, text_lines):
         "results": results,
     }
     payload = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    for line in text_lines:
-        print(line)
-    if args.json_out == "-":
-        sys.stdout.write(payload)
-    else:
+    if args.json_out != "-":
         with open(args.json_out, "w", encoding="utf-8") as fh:
             fh.write(payload)
-        print(f"json report: {args.json_out}")
+        text_lines = [*text_lines, f"json report: {args.json_out}"]
+    try:
+        for line in text_lines:
+            print(line)
+        if args.json_out == "-":
+            sys.stdout.write(payload)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (``quadralg ... | head -1``).  The
+        # run is complete and a --json-out file is written, so the exit code
+        # stays 0.  As Python's note on SIGPIPE advises, stdout now points
+        # at devnull, so that the interpreter's final flush raises nothing.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _config(args, cap, lift):

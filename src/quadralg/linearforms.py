@@ -5,15 +5,16 @@ generators, stored as coefficient tuples.  Its t-minors are commutative
 homogeneous polynomials of degree t; evaluating at a projective point gives a
 scalar matrix whose rank drops exactly on the minor locus.  The minors are
 expanded fraction-free, on integer term dicts, and deduplicated up to scalar
-as they are made.  An emptiness test with the minors can often stop early:
-``spanning_minors`` expands them only until their span is every form of
-their degree.
+as they are made.  One pass visits every (row set, column set) pair once,
+in a scattered order fixed by the shape and t, and shares sub-determinants
+across row sets through a bounded memo.  An emptiness test with the minors
+can often stop early: ``spanning_minors`` expands them only until their span
+is every form of their degree.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-from math import comb, gcd, lcm
+from math import comb, gcd, isqrt, lcm
 
 from .exactlinalg import MODULAR_PRIMES, ModularEchelon, exact_rank, residue
 from .groebner import Ideal
@@ -60,6 +61,87 @@ def geometry_ring(presentation):
     return ring
 
 
+# entries of the sub-determinant memo of one pass over the minors; the memo
+# is cleared when it reaches this size, which bounds its memory
+_MEMO_CAP = 1 << 16
+
+
+def _unrank(rank, n, t, binom):
+    """The t-subset of range(n) at position ``rank`` in lex order;
+    ``binom[m][k]`` is C(m, k)."""
+    out = []
+    x = 0
+    for k in range(t, 0, -1):
+        # the subsets that start at x and take k - 1 more from above it
+        while binom[n - x - 1][k - 1] <= rank:
+            rank -= binom[n - x - 1][k - 1]
+            x += 1
+        out.append(x)
+        x += 1
+    return tuple(out)
+
+
+def _scattered_pairs(s, r, t):
+    """Yield ``(lex, row_set, col_set)`` once for every pair of a t-subset
+    of the s rows and one of the r columns.  ``lex`` is the pair's index in
+    lex order (row sets, then column sets within each), N pairs in all;
+    the i-th pair yielded is the one at lex index step·i mod N, where step
+    is the first odd integer >= floor(N/phi) coprime to N.  So the order is
+    a bijection and depends only on (s, r, t).  Pairs that follow each
+    other share few rows, where the lex walk keeps one row set for C(r, t)
+    pairs in a row, so a span tends to come sooner: the 7-minors of the
+    11 x 15 matrix of the n = 5 check span after 6,067 distinct minors in
+    this order and 62,086 in lex order."""
+    binom = [[comb(m, k) for k in range(t + 1)] for m in range(max(s, r))]
+    cols = comb(r, t)
+    count = comb(s, t) * cols
+    # floor(N/phi) = floor((N*sqrt(5) - N)/2), in exact integers
+    step = (isqrt(5 * count * count) - count) // 2 | 1
+    while gcd(step, count) != 1:
+        step += 2
+    for i in range(count):
+        lex = step * i % count
+        yield (lex, _unrank(lex // cols, s, t, binom),
+               _unrank(lex % cols, r, t, binom))
+
+
+_UNIT = {0: 1}  # the determinant of no rows: the constant 1
+
+
+def _det(rows, row_set, k, cols, memo, cut, p):
+    """Determinant of the rows row_set[:k] and the columns ``cols`` (sorted
+    tuples) of ``rows``, whose entries are lists of (packed variable,
+    integer coefficient); a term dict of packed monomials, reduced mod p
+    when p is set.  Expanded along row row_set[k - 1], so the minors of the
+    rows above it come from ``memo`` when they have at most ``cut`` rows."""
+    if not k:
+        return _UNIT
+    if k <= cut:
+        key = (row_set[:k], cols)
+        total = memo.get(key)
+        if total is not None:
+            return total
+    total = {}
+    get = total.get
+    row = rows[row_set[k - 1]]
+    for pos, j in enumerate(cols):
+        if row[j]:
+            sub = _det(rows, row_set, k - 1, cols[:pos] + cols[pos + 1:],
+                       memo, cut, p)
+            odd = (k - 1 + pos) & 1
+            for sh, c in row[j]:
+                c = -c if odd else c
+                for e, v in sub.items():
+                    total[e + sh] = get(e + sh, 0) + c * v
+    total = ({e: w for e, v in total.items() if (w := v % p)} if p
+             else {e: v for e, v in total.items() if v})
+    if k <= cut:
+        if len(memo) >= _MEMO_CAP:
+            memo.clear()
+        memo[key] = total
+    return total
+
+
 class LinearFormMatrix:
     """Matrix over the degree-1 part of the polynomial ring."""
 
@@ -103,15 +185,18 @@ class LinearFormMatrix:
     def minors(self, t):
         """All t x t minors, content-free with positive leading coefficient
         (monic over GF(p)), zeros dropped, each kept once in order of first
-        occurrence, then stably sorted by leading monomial.  Empty when t
-        exceeds min(shape): the locus is all of projective space.
+        occurrence in the lex walk over (row set, column set) pairs, then
+        stably sorted by leading monomial.  Empty when t exceeds
+        min(shape): the locus is all of projective space.
 
         Computed once per matrix and t; a ``spanning_minors(t)`` that
-        stopped early leaves its prefix to be expanded again here.  Laplace
-        expansion along rows, memoized per row set.  Each row is scaled by the positive integer
-        clearing its denominators (residues over GF(p)), which changes no
-        normalized minor, and a monomial is one int in base t + 1, so
-        x_i * m is m + (t + 1)**i.
+        stopped early leaves its prefix to be expanded again here.  The
+        pass (``_distinct_minors``) visits the pairs in a scattered order
+        and keeps, for each distinct minor, the least lex index of a pair
+        that gave it, so the list is the one the lex walk gives.  Each row
+        is scaled by the positive integer clearing its denominators
+        (residues over GF(p)), which changes no normalized minor, and a
+        monomial is one int in base t + 1, so x_i * m is m + (t + 1)**i.
         """
         if t < 1:
             raise ValueError("t must be >= 1")
@@ -122,7 +207,8 @@ class LinearFormMatrix:
     def spanning_minors(self, t):
         """The first distinct t-minors whose span is every form of degree t,
         sorted like ``minors``; all of ``minors(t)`` when no prefix spans.
-        "First" is in order of first occurrence, or in the order of
+        "First" is in the scattered pair order of ``_scattered_pairs``,
+        which depends only on the shape and t, or in the order of
         ``minors(t)`` when that is already known.
 
         Each minor's coefficient vector goes into one ``ModularEchelon``
@@ -154,30 +240,47 @@ class LinearFormMatrix:
             echelon = ModularEchelon(p)
             known = self._minors.get(t)
             found = []
-            for minor in (known if known is not None
-                          else self._distinct_minors(t)):
-                found.append(minor)
+            for minor, first in (self._distinct_minors(t) if known is None
+                                 else ((m, None) for m in known)):
+                found.append((minor, first))
                 if echelon.insert([{e: r for e, c in minor.terms.items()
                                     if (r := residue(c, p))}]) == forms:
-                    self._spanning[t] = (self._by_lead(found), True)
+                    self._spanning[t] = (
+                        self._by_lead([m for m, _ in found]), True)
                     break
             else:
                 # every minor was seen, and they do not span
                 if known is None:
-                    self._minors[t] = known = self._by_lead(found)
+                    self._minors[t] = known = self._in_lex_order(found)
                 self._spanning[t] = (known, False)
         return self._spanning[t]
 
     def _expand_minors(self, t):
-        return self._by_lead(self._distinct_minors(t))
+        return self._in_lex_order(self._distinct_minors(t))
 
     def _by_lead(self, minors):
         key = self.ring.order.key
         return sorted(minors, key=lambda q: key(q.lead_monomial()))
 
+    def _in_lex_order(self, found):
+        """The minors of a full pass as ``minors`` lists them: by leading
+        monomial, and among equal ones by the least lex index of a pair that
+        gave the minor (its first occurrence in the lex walk)."""
+        key = self.ring.order.key
+        return [m for m, _ in sorted(
+            found, key=lambda mf: (key(mf[0].lead_monomial()), mf[1][0]))]
+
     def _distinct_minors(self, t):
-        """Yield each distinct normalized t-minor once, in order of first
-        occurrence: row sets in order, and column sets within each."""
+        """Yield ``(minor, first)`` once for each distinct normalized t-minor,
+        as the pairs of ``_scattered_pairs`` first reach it.  ``first`` is a
+        one-element list holding the least lex index of a pair seen so far
+        to give the minor; after a full pass, the least of all.
+
+        The determinant of each pair is expanded along its last row.
+        Sub-determinants of at most t - 2 rows are shared by every pair
+        through one memo keyed by (row subset, column subset); it is
+        cleared when it holds ``_MEMO_CAP`` entries and freed with the
+        pass."""
         s, r = self.shape
         if t > min(s, r):
             return
@@ -191,53 +294,35 @@ class LinearFormMatrix:
             rows.append([[(sh, c.val if p else c.numerator * den
                            // c.denominator)
                           for sh, c in zip(shifts, e) if c] for e in row])
-        seen = set()
-        for row_set in combinations(range(s), t):
-            memo = {(): {0: 1}}
-
-            def det(k, cols):
-                # expand along row row_set[k]; cols is a tuple of free columns
-                if cols in memo:
-                    return memo[cols]
-                total = {}
-                get = total.get
-                row = rows[row_set[k]]
-                for pos, j in enumerate(cols):
-                    if row[j]:
-                        sub = det(k + 1, cols[:pos] + cols[pos + 1:])
-                        for sh, c in row[j]:
-                            c = -c if pos & 1 else c
-                            for e, v in sub.items():
-                                total[e + sh] = get(e + sh, 0) + c * v
-                if p:
-                    total = {e: v % p for e, v in total.items()}
-                memo[cols] = total = {e: v for e, v in total.items() if v}
-                return total
-
-            for col_set in combinations(range(r), t):
-                m = det(0, col_set)
-                if not m:
-                    continue
-                # a fixed term pins the scalar for the deduplication; the
-                # survivors move it to the order's leading term below
-                c = m[max(m)]
-                if p:
-                    g = pow(c, -1, p)
-                    canon = frozenset((e, v * g % p) for e, v in m.items())
-                else:
-                    g = gcd(*m.values()) if c > 0 else -gcd(*m.values())
-                    canon = frozenset((e, v // g) for e, v in m.items())
-                if canon not in seen:
-                    seen.add(canon)
-                    terms = {tuple(e // sh % (t + 1) for sh in shifts): v
-                             for e, v in canon}
-                    # as primitive() would: canon is content-free, so only
-                    # the leading coefficient's sign (QQ) or inverse (GF(p))
-                    c = terms[max(terms, key=key)]
-                    g = pow(c, -1, p) if p else (1 if c > 0 else -1)
-                    yield CommPoly(ring, {
-                        e: ring.field(v * g % p if p else v * g)
-                        for e, v in terms.items()})
+        memo = {}
+        seen = {}
+        for lex, row_set, col_set in _scattered_pairs(s, r, t):
+            m = _det(rows, row_set, t, col_set, memo, t - 2, p)
+            if not m:
+                continue
+            # a fixed term pins the scalar for the deduplication; the
+            # survivors move it to the order's leading term below
+            c = m[max(m)]
+            if p:
+                g = pow(c, -1, p)
+                canon = frozenset((e, v * g % p) for e, v in m.items())
+            else:
+                g = gcd(*m.values()) if c > 0 else -gcd(*m.values())
+                canon = frozenset((e, v // g) for e, v in m.items())
+            first = seen.get(canon)
+            if first is None:
+                seen[canon] = first = [lex]
+                terms = {tuple(e // sh % (t + 1) for sh in shifts): v
+                         for e, v in canon}
+                # as primitive() would: canon is content-free, so only
+                # the leading coefficient's sign (QQ) or inverse (GF(p))
+                c = terms[max(terms, key=key)]
+                g = pow(c, -1, p) if p else (1 if c > 0 else -1)
+                yield CommPoly(ring, {
+                    e: ring.field(v * g % p if p else v * g)
+                    for e, v in terms.items()}), first
+            elif lex < first[0]:
+                first[0] = lex
 
     def minor_ideal(self, t):
         return Ideal(self.ring, self.minors(t))

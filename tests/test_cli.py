@@ -258,6 +258,26 @@ def test_python_dash_m_quadralg_help():
     assert proc.stdout.startswith("usage: quadralg")
 
 
+@pytest.mark.parametrize("argv", [
+    ["resolve", "case2.pres"], ["check-g1", "case2.pres"],
+    ["resolve", "qplane.pres", "--json-out", "-"]])
+def test_stdout_closed_early_exits_0_without_traceback(workdir, argv):
+    """As ``quadralg resolve x.pres | head -1``: the reader closes stdout
+    before the report is written.  The run itself completes, so it exits 0,
+    and a --json-out file is still written."""
+    src = os.path.dirname(os.path.dirname(quadralg.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen([sys.executable, "-m", "quadralg", *argv],
+                            env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
+    assert err == ""
+    if "-" not in argv:
+        assert load("report.json")["config"]["command"] == argv[0]
+
+
 @pytest.mark.parametrize("point", ["0,0", "1", "1,2,3", "1/0,1", "a,b"])
 def test_sigma_bad_point_exits_2(workdir, capsys, point):
     # the free algebra fails (G1): the point is refused before that verdict

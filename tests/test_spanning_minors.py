@@ -1,21 +1,26 @@
 """Lower bounds from the first minors that span their degree:
-``LinearFormMatrix.spanning_minors`` against ``minors``, and the emptiness
-test on a prefix against the leading monomials of a full basis."""
+``LinearFormMatrix.spanning_minors`` against ``minors``, the scattered pair
+order against the lex walk, and the emptiness test on a prefix against the
+leading monomials of a full basis."""
 
+import gc
+from itertools import combinations, product
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quadralg.algebra import QuadraticPresentation
 from quadralg.exactlinalg import exact_rank
 from quadralg.geometry import check_point_exact, point_variety
 from quadralg.groebner import Ideal, _groebner_of, projective_empty
-from quadralg.linearforms import LinearFormMatrix, geometry_ring
+from quadralg.linearforms import (LinearFormMatrix, _scattered_pairs,
+                                  geometry_ring)
+from quadralg.polynomials import PolyRing
 from quadralg.resolutions import linear_resolution
 from quadralg.scalars import GF, QQ
 from quadralg.serialize import point_exact_report_to_dict
-from conftest import quotient_resolutions
+from conftest import quotient_resolutions, sum_of_squares
 
 FIELDS = {"QQ": QQ, "GF7": GF(7), "GF11": GF(11)}
 
@@ -143,3 +148,127 @@ def test_minors_that_never_span_are_expanded_once(monkeypatch):
     assert mat.minors(2) == prefix == mat.spanning_minors(2)
     assert len(prefix) > 0
     assert expanded == [2]
+
+
+@st.composite
+def _shapes(draw):
+    s = draw(st.integers(min_value=1, max_value=7))
+    r = draw(st.integers(min_value=1, max_value=7))
+    return s, r, draw(st.integers(min_value=1, max_value=min(s, r)))
+
+
+@given(_shapes())
+@example((1, 1, 1))  # a single pair
+@example((3, 3, 3))  # a single pair of three rows
+@example((7, 7, 3))  # the most pairs: 35 x 35
+@settings(max_examples=80, deadline=None)
+def test_the_scattered_order_is_a_bijection_onto_the_pairs(shape):
+    s, r, t = shape
+    lex = list(product(combinations(range(s), t), combinations(range(r), t)))
+    seen = list(_scattered_pairs(s, r, t))
+    assert sorted(i for i, _, _ in seen) == list(range(len(lex)))
+    assert all(lex[i] == (rows, cols) for i, rows, cols in seen)
+
+
+def _lex_minors(mat, t):
+    """The normalized t-minors of the lex walk over (row set, column set)
+    pairs, by cofactor expansion of ``CommPoly`` entries, each kept at its
+    first occurrence and then stably sorted by leading monomial."""
+    ring = mat.ring
+    s, r = mat.shape
+
+    def det(rows, cols):
+        if not rows:
+            return ring.one()
+        total = ring.zero()
+        for pos, j in enumerate(cols):
+            term = mat.entry_poly(rows[0], j) * det(rows[1:],
+                                                    cols[:pos] + cols[pos + 1:])
+            total = total - term if pos % 2 else total + term
+        return total
+
+    out = []
+    for rows, cols in product(combinations(range(s), t),
+                              combinations(range(r), t)):
+        m = det(rows, cols)
+        if m and m.primitive() not in out:
+            out.append(m.primitive())
+    return sorted(out, key=lambda q: ring.order.key(q.lead_monomial()))
+
+
+@st.composite
+def _sparse_matrices(draw, confined):
+    """Random sparse matrices of linear forms over QQ or GF(7), with a ring
+    built without a presentation.  ``confined`` keeps z out of every entry,
+    so no t-minors span the forms of degree t."""
+    field = FIELDS[draw(st.sampled_from(["QQ", "GF7"]))]
+    ring = PolyRing(field, ["x", "y", "z"])
+    s = draw(st.integers(min_value=1, max_value=5))
+    r = draw(st.integers(min_value=1, max_value=5))
+    coeff = st.sampled_from([0, 0, 0, 1, -1, 2, 3])
+    entry = st.tuples(coeff, coeff, st.just(0) if confined else coeff)
+    rows = draw(st.lists(st.lists(entry, min_size=r, max_size=r),
+                         min_size=s, max_size=s))
+    t = draw(st.integers(min_value=1, max_value=min(s, r)))
+    return LinearFormMatrix(ring, rows), t
+
+
+@given(_sparse_matrices(confined=True))
+@settings(max_examples=60, deadline=None)
+def test_a_pass_that_never_spans_stores_the_lex_expansion(case):
+    mat, t = case
+    prefix = mat.spanning_minors(t)
+    assert not mat.minors_span(t)
+    assert prefix == mat.minors(t) == _lex_minors(mat, t)
+
+
+@given(_sparse_matrices(confined=False))
+@settings(max_examples=60, deadline=None)
+def test_minors_equal_the_lex_expansion(case):
+    mat, t = case
+    assert mat.minors(t) == _lex_minors(mat, t)
+
+
+@given(_sparse_matrices(confined=False))
+@settings(max_examples=60, deadline=None)
+def test_a_prefix_spans_exactly_when_every_minor_does(case):
+    mat, t = case
+    forms = comb(mat.ring.nvars + t - 1, t)
+    field = mat.ring.field
+
+    def spans(minors):
+        return exact_rank([f.terms for f in minors], field) == forms
+
+    assert spans(mat.spanning_minors(t)) == spans(mat.minors(t))
+
+
+def test_a_pass_leaves_no_reference_cycle():
+    """The sub-determinant memo is plain data: a pass leaves nothing for
+    the cyclic collector."""
+    ring = PolyRing(QQ, ["x", "y", "z"])
+    mat = LinearFormMatrix(ring, [[(1, 0, 0), (0, 1, 0), (0, 0, 1)],
+                                  [(0, 1, 0), (0, 0, 1), (1, 0, 0)],
+                                  [(0, 0, 1), (1, 0, 0), (0, 1, 1)]])
+    gc.collect()
+    gc.disable()
+    try:
+        assert mat.minors_span(2)
+        mat.minors(3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_the_skew_quadric_quotients_right_m4_spans_at_a_fixed_prefix():
+    """The scattered order fixes the prefix: 106 distinct 4-minors of the
+    8 x 8 right M_4 (the lex walk needs 154)."""
+    A = QuadraticPresentation.skew(
+        QQ, ["x1", "x2", "x3", "x4"],
+        [[1 if i == j else -1 for j in range(4)] for i in range(4)])
+    res, _ = quotient_resolutions(A, sum_of_squares(A), length=4,
+                                  internal_cap=5)
+    mat = res["right"].geometric_matrix(4, geometry_ring(
+        res["right"].presentation))
+    assert mat.shape == (8, 8)
+    assert len(mat.spanning_minors(4)) == 106
+    assert mat.minors_span(4)
