@@ -301,7 +301,7 @@ class QuadraticPresentation:
         subst = []
         for u in range(n):
             if u == piv:
-                subst.append([-(f.coords.get(c, self.field.zero) / piv_c)
+                subst.append([-self.field.div(f.coords.get(c, 0), piv_c)
                               for c in keep])
             else:
                 subst.append([self.field.one if c == u else self.field.zero
@@ -384,8 +384,9 @@ class ResidueTables:
     """The left tables of a presentation in one scalar domain, built lazily
     and once per degree: ``left[d][u][i]`` is x_u times word i of A_{d-1},
     a flat tuple (index, scalar, ...) of its nonzero scalars.  For ``p``
-    None the scalars are the field's own (``Fraction`` or ``FpElement``);
-    for a prime ``p`` they are ints mod p (see ``tables``).
+    None the scalars are the field's own (``int`` or ``Fraction`` over
+    QQ, ``FpElement`` over GF(p)); for a prime ``p`` they are ints mod p
+    (see ``tables``).
     Equal scalars are one object per table, and a left image that is one
     step image is that tuple itself."""
 

@@ -39,7 +39,7 @@ def skew_matrix_of(presentation):
             return None
         c = row[b]
         # row: x_{u1} x_{v1} - q_{u1 v1}^{-1} x_{v1} x_{u1} normalized monic
-        q[u1][v1] = -field.one / c
+        q[u1][v1] = -field.inv(c)
         q[v1][u1] = -c
         seen.add((u1, v1))
     if len(seen) != presentation.r:
@@ -92,7 +92,7 @@ def cone_extension(cplx, q_column, new_name=None):
             new_name += "_"
     big_q = [[q_matrix[i][j] for j in range(n)] + [q_column[i]]
              for i in range(n)]
-    big_q.append([field.one / q_column[j] for j in range(n)] + [field.one])
+    big_q.append([field.inv(q_column[j]) for j in range(n)] + [field.one])
     big = QuadraticPresentation.skew(field, pres.names + (new_name,), big_q,
                                      pres.degree_cap)
     inclusion = [[big.field.one if t == u else big.field.zero

@@ -110,8 +110,10 @@ class RowSpace:
         if not vec:
             return False
         lead = min(vec)
-        inv = self.field.one / vec[lead]
-        row = {c: v * inv for c, v in vec.items()}
+        field = self.field
+        inv = field.inv(vec[lead])
+        # coerced back: an integral Fraction product becomes its int
+        row = {c: field(v * inv) for c, v in vec.items()}
         # keep older rows fully reduced against the new pivot
         for col, other in self.pivots.items():
             coeff = other.get(lead)
@@ -215,6 +217,8 @@ class PrimeClash(Exception):
 def residue(value, p):
     """The residue mod p of an int, a p-integral Fraction or an element of
     F_p itself; raises PrimeClash when the denominator is divisible by p."""
+    if type(value) is int:
+        return value % p
     if isinstance(value, Fraction):
         den = value.denominator
         if den == 1:

@@ -99,7 +99,8 @@ def _rank_exactly_one_less(variety, mat, n_minus):
 
     ``projective_empty`` decides it on the variety ideal plus
     ``mat.spanning_minors(n_minus)``: the first minors whose span is every
-    form of degree n_minus (then it needs no Groebner basis), or all of
+    form of degree n_minus (then it needs no Groebner basis, and the span
+    goes in as ``spanned_degree``, so it is not ranked again), or all of
     them when none spans.  The verdict is exact either way: the prefix lies
     in the ideal of n_minus-minors, so emptiness with the prefix proves
     emptiness with every minor, and with all of them the test is the full
@@ -110,7 +111,9 @@ def _rank_exactly_one_less(variety, mat, n_minus):
     if not lower:
         # rank can never reach n_minus; vacuously fine only on empty loci
         return projective_empty(variety.ideal)
-    return projective_empty(variety.ideal + lower)
+    return projective_empty(
+        variety.ideal + lower,
+        spanned_degree=n_minus if mat.minors_span(n_minus) else None)
 
 
 def check_g1(presentation, resolutions=None):

@@ -312,8 +312,7 @@ class GroebnerBasis:
                 inv = pow(e.lc, -1, p)
                 terms = {m: field(v * inv % p) for m, v in e.terms.items()}
             else:
-                lc = Fraction(e.lc)
-                terms = {m: Fraction(v) / lc for m, v in e.terms.items()}
+                terms = {m: field.div(v, e.lc) for m, v in e.terms.items()}
             polys.append(CommPoly(ring, terms))
         self.polys = polys
 
@@ -463,21 +462,26 @@ def variety_equal(ideal_a, ideal_b):
     return all(tester_a.contains(g) for g in ideal_b.gens)
 
 
-def _spans_a_degree(ideal):
+def _spans_a_degree(ideal, known=None):
     """Whether the generators of some degree D span every form of degree D,
     C(n + D - 1, D) of them; then the ideal contains every monomial of
     degree D.  The rank of their coefficient vectors is taken at the
     characteristic over GF(p), where it is exact, and over QQ at the first
     of ``MODULAR_PRIMES`` that divides no denominator, where it is a lower
-    bound (when every prime divides one, nothing is decided)."""
+    bound (when every prime divides one, nothing is decided).  The degree
+    ``known``, whose span the caller has shown, is decided first and
+    takes no rank."""
     ring = ideal.ring
     by_degree = {}
     for g in ideal.gens:
         by_degree.setdefault(g.total_degree(), []).append(g)
-    for degree, gens in by_degree.items():
+    for degree in sorted(by_degree, key=lambda d: d != known):
+        gens = by_degree[degree]
         forms = comb(ring.nvars + degree - 1, degree)
         if len(gens) < forms:
             continue
+        if degree == known:
+            return True
 
         def rank(p):
             return modular_rank(ResidueColumns(p, [
@@ -490,13 +494,16 @@ def _spans_a_degree(ideal):
     return False
 
 
-def projective_empty(ideal):
+def projective_empty(ideal, spanned_degree=None):
     """Z(ideal) empty in projective space?  Requires homogeneous generators.
 
     When the generators of one degree D span every form of degree D
     (``_spans_a_degree``), the ideal contains m^D, a power of the irrelevant
     ideal, so it has no projective zero (the projective Nullstellensatz,
-    Cox, Little, O'Shea, ch. 8 sec. 3), and no basis is computed.  A span
+    Cox, Little, O'Shea, ch. 8 sec. 3), and no basis is computed.  A caller
+    that has already shown that span at a degree D (as
+    ``LinearFormMatrix.minors_span`` does for the minors it hands in)
+    passes ``spanned_degree=D``, and the rank is not taken again.  A span
     that a rank mod p misses decides nothing, and otherwise, by the
     finiteness theorem (ch. 5 sec. 3): exactly when 1 or a pure power of
     every variable is a leading monomial of the reduced basis, over the
@@ -504,7 +511,7 @@ def projective_empty(ideal):
     for g in ideal.gens:
         if not g.is_homogeneous():
             raise ValueError(f"non-homogeneous generator: {g}")
-    if _spans_a_degree(ideal):
+    if _spans_a_degree(ideal, spanned_degree):
         return True
     leads = [entry.lm for entry in ideal.groebner()._entries]
     pure = {i for lm in leads for i, k in enumerate(lm) if k and k == sum(lm)}

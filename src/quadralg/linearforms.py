@@ -33,8 +33,7 @@ class ProjPoint:
         lead = next((c for c in coords if c), None)
         if lead is None:
             raise ValueError("projective point needs a nonzero coordinate")
-        inv = field.one / lead
-        self.coords = tuple(c * inv for c in coords)
+        self.coords = tuple(field.div(c, lead) for c in coords)
         self.field = field
 
     def __len__(self):

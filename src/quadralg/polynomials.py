@@ -281,7 +281,7 @@ class CommPoly:
         lc = self.lead_coeff()
         if not lc or lc == self.ring.field.one:
             return self
-        return self.scale(self.ring.field.one / lc)
+        return self.scale(self.ring.field.inv(lc))
 
     def primitive(self):
         """Divide by content; make the leading coefficient positive (over QQ).
@@ -298,10 +298,11 @@ class CommPoly:
         for c in self.terms.values():
             num = gcd(num, c.numerator)
             den = den * c.denominator // gcd(den, c.denominator)
-        factor = Fraction(den, num)
         if self.terms[self.lead_monomial()] < 0:
-            factor = -factor
-        return self.scale(factor)
+            num = -num
+        # c * den is an integer multiple of num: the result is in ints
+        return CommPoly(self.ring, {e: c * den // num
+                                    for e, c in self.terms.items()})
 
     def evaluate(self, point):
         """Evaluate at a scalar tuple (one value per variable)."""
@@ -370,7 +371,7 @@ def render_poly(poly):
     pieces = []
     for i, (exps, coeff) in enumerate(poly.sorted_terms()):
         mono = _render_monomial(poly.ring.names, exps)
-        if isinstance(coeff, Fraction):
+        if isinstance(coeff, (int, Fraction)):
             neg = coeff < 0
             mag = -coeff if neg else coeff
             body = mono if (mag == 1 and mono) else (

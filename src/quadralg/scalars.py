@@ -1,10 +1,20 @@
 """Exact ground fields: the rationals and prime fields.
 
 Every computation in the package runs over one of these fields; there is no
-floating point anywhere.  Rational scalars are plain ``fractions.Fraction``;
-prime-field scalars are lightweight wrappers around ints mod p.  A field
-object knows how to coerce user input (ints, Fractions, strings like
-``"-3/4"``) into its scalar type.
+floating point anywhere.  A rational scalar is a Python ``int`` when it is
+integral and a ``fractions.Fraction`` otherwise: ``QQ.one`` and ``QQ.zero``
+are ``1`` and ``0``, and coercion returns the int for an integral value, so
+algebras with integral structure constants compute in ints (a ``Fraction``
+operation costs about a microsecond in pure Python; the same small-integer
+fast path as FLINT's ``fmpz``/``fmpq``).  Fraction arithmetic may still
+produce an integral ``Fraction``; it equals its int and hashes alike, so
+only speed depends on the form.  Prime-field scalars are lightweight
+wrappers around ints mod p.  A field object knows how to coerce user input
+(ints, Fractions, strings like ``"-3/4"``) into its scalar type, and
+refuses floats.
+
+Scalars are divided with ``field.div(a, b)`` and ``field.inv(b)``, never
+with ``/``: an int divided by an int is a float.
 """
 
 from __future__ import annotations
@@ -12,31 +22,46 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+def _canonical(q):
+    """A Fraction as its int when integral."""
+    return q.numerator if q.denominator == 1 else q
+
+
 class RationalField:
-    """The field QQ.  Scalars are ``Fraction``."""
+    """The field QQ.  Scalars are ``int`` when integral, else ``Fraction``."""
 
     __slots__ = ()
 
     characteristic = 0
+    zero = 0
+    one = 1
 
     def __call__(self, value):
-        if isinstance(value, Fraction):
+        if type(value) is int:
             return value
-        if isinstance(value, int):
-            return Fraction(value)
+        if isinstance(value, Fraction):
+            return _canonical(value)
+        if isinstance(value, int):  # bool
+            return int(value)
         if isinstance(value, str):
-            return Fraction(value)
+            return _canonical(Fraction(value))
         if isinstance(value, FpElement):
             raise TypeError("cannot coerce a prime-field scalar into QQ")
-        return Fraction(value)
+        raise TypeError(f"cannot coerce {value!r} into QQ")
 
-    @property
-    def zero(self):
-        return Fraction(0)
+    def div(self, a, b):
+        """The exact quotient a / b in canonical form; ZeroDivisionError
+        when b is zero."""
+        if type(a) is int and type(b) is int:
+            if not b:
+                raise ZeroDivisionError("division by zero in QQ")
+            q, r = divmod(a, b)
+            return Fraction(a, b) if r else q
+        return _canonical(Fraction(self(a)) / self(b))
 
-    @property
-    def one(self):
-        return Fraction(1)
+    def inv(self, b):
+        """The exact inverse 1 / b in canonical form."""
+        return self.div(1, b)
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -198,6 +223,14 @@ class PrimeField:
                 raise ZeroDivisionError(f"denominator divisible by {self.p}")
             return FpElement(value.numerator * pow(den, -1, self.p), self.p)
         raise TypeError(f"cannot coerce {value!r} into F_{self.p}")
+
+    def div(self, a, b):
+        """The quotient a / b in F_p; ZeroDivisionError when b is zero."""
+        return self(a) / self(b)
+
+    def inv(self, b):
+        """The inverse 1 / b in F_p; ZeroDivisionError when b is zero."""
+        return self.div(1, b)
 
     @property
     def zero(self):

@@ -45,7 +45,7 @@ def render_element(element):
     for idx in sorted(element.coords):
         coeff = element.coords[idx]
         mono = _word_str(pres.names, comp.words[idx])
-        if isinstance(coeff, Fraction):
+        if isinstance(coeff, (int, Fraction)):
             neg = coeff < 0
             mag = -coeff if neg else coeff
             if mono == "1":
@@ -83,7 +83,7 @@ def render_tensor_relation(pres, row):
         u, v = divmod(col, n)
         coeff = row[col]
         mono = _word_str(pres.names, (u, v))
-        if isinstance(coeff, Fraction):
+        if isinstance(coeff, (int, Fraction)):
             neg = coeff < 0
             mag = -coeff if neg else coeff
             body = mono if mag == 1 else f"{mag}*{mono}"

@@ -421,7 +421,7 @@ def relation_maps(draw):
         for i in range(n):
             for j in range(i + 1, n):
                 q[i][j] = draw(st.sampled_from([1, -1, 2, 3]))
-                q[j][i] = field.one / field(q[i][j])
+                q[j][i] = field.inv(q[i][j])
         pres = QuadraticPresentation.skew(field, names, q, degree_cap=3)
     else:
         words = [(u, v) for u in range(n) for v in range(n)]
@@ -650,7 +650,7 @@ def builder_cases(draw):
             for j in range(i + 1, n):
                 v = field(draw(st.integers(1, 4))
                           * draw(st.sampled_from([1, -1])))
-                q[i][j], q[j][i] = v, field.one / v
+                q[i][j], q[j][i] = v, field.inv(v)
         pres = QuadraticPresentation.skew(field, [f"s{i}" for i in range(n)],
                                           q, degree_cap=6)
     elif kind == "jordan":

@@ -141,7 +141,7 @@ def test_rank_nullity_transfer(rxyz):
         pick = [kern[rng.randrange(len(kern))] for _ in range(l)]
         lam_idx = next(i for i, c in enumerate(q) if c)
         lam = [QQ.zero] * 3
-        lam[lam_idx] = QQ.one / q[lam_idx]
+        lam[lam_idx] = QQ.inv(q[lam_idx])
         N = LinearFormMatrix(rxyz, [[tuple(col.get(i, QQ.zero) * c
                                            for c in lam)
                                      for col in pick] for i in range(r)])

@@ -45,7 +45,7 @@ def test_quantum_plane_left_resolution(quantum_plane):
     ratios = set()
     for mine, want in scaled:
         for exps, c in want.terms.items():
-            ratios.add(c / mine.terms[exps])
+            ratios.add(QQ.div(c, mine.terms[exps]))
     assert len(ratios) == 1
 
 

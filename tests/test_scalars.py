@@ -6,15 +6,50 @@ from hypothesis import given, strategies as st
 from quadralg.scalars import QQ, GF, field_from_descriptor
 
 
+def _exactly(value, expected):
+    return type(value) is type(expected) and value == expected
+
+
 def test_rational_coercion():
-    assert QQ(3) == Fraction(3)
-    assert QQ("2/5") == Fraction(2, 5)
-    assert QQ.one / QQ(4) == Fraction(1, 4)
+    assert _exactly(QQ(3), 3)
+    assert _exactly(QQ("2/5"), Fraction(2, 5))
+    assert _exactly(QQ.one, 1) and _exactly(QQ.zero, 0)
+    assert _exactly(QQ.div(QQ.one, QQ(4)), Fraction(1, 4))
+    assert _exactly(QQ(Fraction(6, 3)), 2)
+    assert _exactly(QQ("3/1"), 3)
+    assert _exactly(QQ(True), 1)
+
+
+def test_rational_division_is_canonical():
+    assert _exactly(QQ.div(6, -3), -2)
+    assert _exactly(QQ.div(Fraction(3, 2), Fraction(1, 2)), 3)
+    assert _exactly(QQ.div(-7, 2), Fraction(-7, 2))
+    assert _exactly(QQ.inv(Fraction(-1, 3)), -3)
+    assert _exactly(QQ.inv(4), Fraction(1, 4))
 
 
 def test_rational_division_by_zero():
     with pytest.raises(ZeroDivisionError):
-        QQ.one / QQ.zero
+        QQ.div(QQ.one, QQ.zero)
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(Fraction(0))
+
+
+def test_floats_are_refused():
+    with pytest.raises(TypeError):
+        QQ(0.1)
+    with pytest.raises(TypeError):
+        QQ(2.0)
+    with pytest.raises(TypeError):
+        QQ.div(Fraction(1, 3), 0.5)
+    with pytest.raises(TypeError):
+        GF(7)(0.5)
+
+
+def test_skew_refuses_a_float_parameter():
+    from quadralg.algebra import QuadraticPresentation
+    with pytest.raises(TypeError):
+        QuadraticPresentation.skew(QQ, ["x", "y"], [[1, 0.5], [2, 1]])
 
 
 def test_prime_field_arithmetic():
@@ -23,6 +58,7 @@ def test_prime_field_arithmetic():
     assert a + b == F(1)
     assert a * b == F(1)
     assert a / b == F(3) * F(3)  # 5^{-1} = 3 mod 7
+    assert F.div(3, 5) == F(2) and F.inv(b) == F(3)
     assert -a == F(4)
     assert bool(F(0)) is False
 
@@ -31,6 +67,8 @@ def test_prime_field_division_by_zero():
     F = GF(5)
     with pytest.raises(ZeroDivisionError):
         F(1) / F(0)
+    with pytest.raises(ZeroDivisionError):
+        F.inv(F(5))
     with pytest.raises(ZeroDivisionError):
         F(Fraction(1, 5))
 

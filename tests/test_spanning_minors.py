@@ -94,7 +94,7 @@ def _skew(field, params, n):
     for (i, j), a in zip([(0, 1), (0, 2), (1, 2)], params):
         if j < n:
             q[i][j] = field(a)
-            q[j][i] = field.one / field(a)
+            q[j][i] = field.inv(a)
     return QuadraticPresentation.skew(field, ["x", "y", "z"][:n], q)
 
 
@@ -272,3 +272,34 @@ def test_the_skew_quadric_quotients_right_m4_spans_at_a_fixed_prefix():
     assert mat.shape == (8, 8)
     assert len(mat.spanning_minors(4)) == 106
     assert mat.minors_span(4)
+
+
+def test_a_handed_over_span_takes_no_second_rank(monkeypatch):
+    from quadralg import groebner
+    A = _skew(QQ, [-1, -1, -1], 3)
+    res, _ = quotient_resolutions(A, sum_of_squares(A), length=4,
+                                  internal_cap=5)
+    pres = res["right"].presentation
+    expected = _reports(pres, res)
+    assert "span" in expected[0][1]
+
+    def refuse(*args):
+        raise AssertionError("the span was ranked again")
+
+    ranked = []
+    monkeypatch.setattr(groebner, "modular_rank",
+                        lambda cols, n: ranked.append(n) or refuse())
+    for side, (_, lower_by, _) in zip(("right", "left"), expected):
+        rep = check_point_exact(pres, side, 3, res)
+        assert [ev.lower_by for ev in rep.evidence] == lower_by
+    assert ranked == []
+
+
+def test_a_claimed_span_needs_enough_generators():
+    ring = PolyRing(QQ, ["x", "y"])
+    x, y = ring.gens()
+    # one quadric cannot span the three forms of degree 2: the claim is
+    # ignored and the emptiness test runs in full
+    assert not projective_empty(Ideal(ring, [x * y]), spanned_degree=2)
+    assert projective_empty(Ideal(ring, [x * x, x * y, y * y]),
+                            spanned_degree=2)
