@@ -232,6 +232,12 @@ def residue(value, p):
     return int(value) % p
 
 
+def residues(terms, p):
+    """The nonzero residues mod p of a sparse dict's values, by key; raises
+    PrimeClash as ``residue`` does."""
+    return {k: r for k, c in terms.items() if (r := residue(c, p))}
+
+
 def over_working_primes(attempt):
     """``attempt(p)`` for the first of ``MODULAR_PRIMES`` at which it raises
     no PrimeClash; None, no certificate, when every prime clashes."""

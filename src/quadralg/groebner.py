@@ -1,9 +1,12 @@
 """Buchberger engine, ideals, and the radical/variety decision procedures.
 
-The reduction core works on integer-coefficient polynomials (fraction-free
-pseudo-reduction with content stripping) over QQ, or on residues over F_p;
-the public layer speaks CommPoly.  Pair pruning follows the Gebauer-Moeller
-update, pair selection is the normal strategy (smallest lcm first).
+The reduction core is one fraction-free pseudo-reduction on integer term
+dicts: the primitive integer terms of a CommPoly over QQ, with content
+stripped as it goes, or its residues mod p over F_p, where every basis
+entry is kept monic so that each step is the monic one and every sum is
+reduced mod p.  The public layer speaks CommPoly.  Pair pruning follows
+the Gebauer-Moeller update, pair selection is the normal strategy
+(smallest lcm first).
 Projective emptiness is read off the leading monomials of one basis, or,
 with no basis, from generators of one degree D that span every form of
 degree D (their rank mod p: a lower bound over QQ, exact over GF(p)).
@@ -12,11 +15,10 @@ degree D (their rank mod p: a lower bound over QQ, exact over GF(p)).
 from __future__ import annotations
 
 import heapq
-from fractions import Fraction
 from math import comb, gcd
 
 from .exactlinalg import (ResidueColumns, modular_rank, over_working_primes,
-                          residue)
+                          residues)
 from .polynomials import CommPoly, EliminateLast
 
 
@@ -40,39 +42,15 @@ def _add_exps(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
-def _int_terms(poly):
-    """CommPoly over QQ -> primitive integer term dict (sign preserved)."""
-    den = 1
-    for c in poly.terms.values():
-        den = den * c.denominator // gcd(den, c.denominator)
-    terms = {e: int(c * den) for e, c in poly.terms.items()}
-    return _strip_content(terms)
-
-
 def _strip_content(terms):
-    g = 0
-    for v in terms.values():
-        g = gcd(g, v)
-        if g == 1:
-            return terms
-    if g > 1:
-        return {e: v // g for e, v in terms.items()}
-    return terms
+    g = gcd(*terms.values())
+    return {e: v // g for e, v in terms.items()} if g > 1 else terms
 
 
-def _mod_terms(poly, p):
-    out = {}
-    for e, c in poly.terms.items():
-        if isinstance(c, Fraction):
-            den = c.denominator % p
-            if den == 0:
-                raise ZeroDivisionError("denominator divisible by p")
-            v = c.numerator * pow(den, -1, p) % p
-        else:
-            v = c.val % p
-        if v:
-            out[e] = v
-    return out
+def _kernel_terms(poly, p):
+    """The term dict the kernel reduces: residues mod p over GF(p), the
+    primitive integer terms over QQ."""
+    return residues(poly.terms, p) if p else poly.primitive().terms
 
 
 class _Entry:
@@ -86,16 +64,24 @@ class _Entry:
         self.terms = terms
 
 
-def _make_entry(terms, key):
+def _make_entry(terms, key, p):
+    """A basis entry; over F_p it is made monic, so that the fraction-free
+    steps against it are the monic ones."""
     lm = max(terms, key=key)
+    if p:
+        inv = pow(terms[lm], -1, p)
+        terms = {e: v * inv % p for e, v in terms.items()}
     return _Entry(lm, terms[lm], terms)
 
 
 def _normal_form(terms, basis, key, p):
-    """Full normal form; fraction-free over ZZ, monic-style over F_p.
+    """Full normal form by fraction-free pseudo-reduction, over ZZ or on
+    residues mod p.
 
-    Over ZZ the result is correct up to a positive scalar (content is
-    stripped), which is all the zero-tests and canonical comparisons need.
+    Over F_p every entry of the basis is monic, so each step multiplies by
+    1 and is the monic step, with every sum reduced mod p.  Over ZZ the
+    result is correct up to a positive scalar (content is stripped), which
+    is all the zero-tests and canonical comparisons need.
     """
     work = dict(terms)
     rem = {}
@@ -103,23 +89,12 @@ def _normal_form(terms, basis, key, p):
     while work:
         steps += 1
         if not p and steps % 64 == 0:
-            g = 0
-            for v in work.values():
-                g = gcd(g, v)
-                if g == 1:
-                    break
-            else:
-                for v in rem.values():
-                    g = gcd(g, v)
-                    if g == 1:
-                        break
+            g = gcd(*work.values(), *rem.values())
             if g > 1:
                 work = {e: v // g for e, v in work.items()}
                 rem = {e: v // g for e, v in rem.items()}
         m = max(work, key=key)
         c = work.pop(m)
-        if not c:
-            continue
         reducer = None
         for g in basis:
             if _divides(g.lm, m):
@@ -129,62 +104,34 @@ def _normal_form(terms, basis, key, p):
             rem[m] = c
             continue
         shift = _sub_exps(m, reducer.lm)
-        if p:
-            factor = c * pow(reducer.lc, -1, p) % p
-            for e, v in reducer.terms.items():
-                if e == reducer.lm:
-                    continue
-                t = _add_exps(e, shift)
-                acc = (work.get(t, 0) - factor * v) % p
-                if acc:
-                    work[t] = acc
-                else:
-                    work.pop(t, None)
-        else:
-            g0 = gcd(c, reducer.lc)
-            a = abs(reducer.lc // g0)
-            if reducer.lc < 0:
-                a = -a
-            b = c // g0
-            if a != 1:
-                if a < 0:
-                    a = -a
-                    b = -b
-                for d in (work, rem):
-                    for e in d:
-                        d[e] *= a
-            for e, v in reducer.terms.items():
-                if e == reducer.lm:
-                    continue
-                t = _add_exps(e, shift)
-                acc = work.get(t, 0) - b * v
-                if acc:
-                    work[t] = acc
-                else:
-                    work.pop(t, None)
-    if p:
-        return {e: v % p for e, v in rem.items() if v % p}
-    return _strip_content(rem)
+        g0 = gcd(c, reducer.lc)
+        a = reducer.lc // g0
+        b = c // g0
+        if a < 0:
+            a = -a
+            b = -b
+        if a != 1:
+            for d in (work, rem):
+                for e in d:
+                    d[e] *= a
+        for e, v in reducer.terms.items():
+            if e == reducer.lm:
+                continue
+            t = _add_exps(e, shift)
+            acc = work.get(t, 0) - b * v
+            if p:
+                acc %= p
+            if acc:
+                work[t] = acc
+            else:
+                work.pop(t, None)
+    return rem if p else _strip_content(rem)
 
 
 def _spair(f, g, key, p):
     lcm = _tuple_lcm(f.lm, g.lm)
     sf = _sub_exps(lcm, f.lm)
     sg = _sub_exps(lcm, g.lm)
-    if p:
-        inv_f = pow(f.lc, -1, p)
-        inv_g = pow(g.lc, -1, p)
-        out = {}
-        for e, v in f.terms.items():
-            out[_add_exps(e, sf)] = v * inv_f % p
-        for e, v in g.terms.items():
-            t = _add_exps(e, sg)
-            acc = (out.get(t, 0) - v * inv_g) % p
-            if acc:
-                out[t] = acc
-            else:
-                out.pop(t, None)
-        return out
     g0 = gcd(f.lc, g.lc)
     cf = g.lc // g0
     cg = f.lc // g0
@@ -194,11 +141,13 @@ def _spair(f, g, key, p):
     for e, v in g.terms.items():
         t = _add_exps(e, sg)
         acc = out.get(t, 0) - v * cg
+        if p:
+            acc %= p
         if acc:
             out[t] = acc
         else:
             out.pop(t, None)
-    return _strip_content(out)
+    return out if p else _strip_content(out)
 
 
 def _gm_update(G, pairs, new_index, key):
@@ -238,14 +187,14 @@ def _gm_update(G, pairs, new_index, key):
     return surviving
 
 
-def _buchberger(int_polys, key, p):
+def _buchberger(polys, key, p):
     G = []
     pairs = []
-    for terms in sorted((t for t in int_polys if t),
+    for terms in sorted((t for t in polys if t),
                         key=lambda t: key(max(t, key=key))):
         nf = _normal_form(terms, G, key, p)
         if nf:
-            G.append(_make_entry(nf, key))
+            G.append(_make_entry(nf, key, p))
             pairs = _gm_update(G, pairs, len(G) - 1, key)
     heap = [(key(lcm), i, j) for (i, j, lcm) in pairs]
     heapq.heapify(heap)
@@ -258,7 +207,7 @@ def _buchberger(int_polys, key, p):
         s = _spair(G[i], G[j], key, p)
         nf = _normal_form(s, G, key, p)
         if nf:
-            G.append(_make_entry(nf, key))
+            G.append(_make_entry(nf, key, p))
             new_pairs = _gm_update(G, [(a, b, _tuple_lcm(G[a].lm, G[b].lm))
                                        for (a, b) in pairset], len(G) - 1, key)
             pairset = set()
@@ -289,7 +238,7 @@ def _reduce_basis(G, key, p):
     for idx, g in enumerate(keep):
         others = keep[:idx] + keep[idx + 1:]
         nf = _normal_form(g.terms, others, key, p)
-        out.append(_make_entry(nf, key))
+        out.append(_make_entry(nf, key, p))
     out.sort(key=lambda e: key(e.lm))
     return out
 
@@ -306,15 +255,9 @@ class GroebnerBasis:
         self._p = p
         self._key = order.key
         field = ring.field
-        polys = []
-        for e in entries:
-            if p:
-                inv = pow(e.lc, -1, p)
-                terms = {m: field(v * inv % p) for m, v in e.terms.items()}
-            else:
-                terms = {m: field.div(v, e.lc) for m, v in e.terms.items()}
-            polys.append(CommPoly(ring, terms))
-        self.polys = polys
+        self.polys = [CommPoly(ring, {m: field.div(v, e.lc)
+                                      for m, v in e.terms.items()})
+                      for e in entries]
 
     def __iter__(self):
         return iter(self.polys)
@@ -327,11 +270,8 @@ class GroebnerBasis:
             raise ValueError("polynomial from another ring")
         if not poly.terms:
             return True
-        if self._p:
-            terms = _mod_terms(poly, self._p)
-        else:
-            terms = _int_terms(poly)
-        return not _normal_form(terms, self._entries, self._key, self._p)
+        return not _normal_form(_kernel_terms(poly, self._p), self._entries,
+                                self._key, self._p)
 
     def contains_one(self):
         return len(self._entries) == 1 and sum(self._entries[0].lm) == 0
@@ -349,11 +289,7 @@ def groebner(polys_or_ideal, order=None):
 
 def _groebner_of(ring, polys, order):
     p = ring.field.characteristic
-    if p:
-        ints = [_mod_terms(f, p) for f in polys if f]
-    else:
-        ints = [_int_terms(f) for f in polys if f]
-    entries = _buchberger(ints, order.key, p)
+    entries = _buchberger([_kernel_terms(f, p) for f in polys], order.key, p)
     return GroebnerBasis(ring, order, entries, p)
 
 
@@ -484,9 +420,8 @@ def _spans_a_degree(ideal, known=None):
             return True
 
         def rank(p):
-            return modular_rank(ResidueColumns(p, [
-                {e: r for e, c in g.terms.items() if (r := residue(c, p))}
-                for g in gens]), forms)
+            return modular_rank(ResidueColumns(
+                p, [residues(g.terms, p) for g in gens]), forms)
 
         p = ring.field.characteristic
         if (rank(p) if p else over_working_primes(rank)) == forms:

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from math import comb, gcd, isqrt, lcm
 
-from .exactlinalg import MODULAR_PRIMES, ModularEchelon, exact_rank, residue
+from .exactlinalg import (MODULAR_PRIMES, ModularEchelon, exact_rank,
+                          residues)
 from .groebner import Ideal
 from .polynomials import DEGREVLEX, CommPoly, PolyRing
 from .scalars import QQ
@@ -242,8 +243,7 @@ class LinearFormMatrix:
             for minor, first in (self._distinct_minors(t) if known is None
                                  else ((m, None) for m in known)):
                 found.append((minor, first))
-                if echelon.insert([{e: r for e, c in minor.terms.items()
-                                    if (r := residue(c, p))}]) == forms:
+                if echelon.insert([residues(minor.terms, p)]) == forms:
                     self._spanning[t] = (
                         self._by_lead([m for m, _ in found]), True)
                     break

@@ -202,7 +202,7 @@ class CommPoly:
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, CommPoly):
             other = self.ring.constant(other)
         self._check(other)
         return CommPoly(self.ring, add_scaled(dict(self.terms), other.terms))
@@ -213,7 +213,7 @@ class CommPoly:
         return CommPoly(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, CommPoly):
             other = self.ring.constant(other)
         return self + (-other)
 
@@ -221,11 +221,8 @@ class CommPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = self.ring.field(other)
-            if not c:
-                return self.ring.zero()
-            return CommPoly(self.ring, {e: v * c for e, v in self.terms.items()})
+        if not isinstance(other, CommPoly):
+            return self.scale(other)
         self._check(other)
         out = {}
         for e1, c1 in self.terms.items():
@@ -359,8 +356,21 @@ def _render_monomial(names, exps):
     return "*".join(parts)
 
 
-def _coeff_str(c):
-    return str(c)
+def render_terms(terms):
+    """Canonical text of ``(coefficient, monomial text)`` pairs, in the
+    order given, with ``""`` as the monomial 1: a unit coefficient is not
+    written before a monomial, and a negative rational is written as its
+    magnitude after a minus sign."""
+    pieces = []
+    for coeff, mono in terms:
+        neg = isinstance(coeff, (int, Fraction)) and coeff < 0
+        mag = -coeff if neg else coeff
+        body = (mono if mag == 1 else f"{mag}*{mono}") if mono else str(mag)
+        if pieces:
+            pieces.append(("- " if neg else "+ ") + body)
+        else:
+            pieces.append("-" + body if neg else body)
+    return " ".join(pieces)
 
 
 def render_poly(poly):
@@ -368,20 +378,6 @@ def render_poly(poly):
     ``^`` for powers, explicit ``*``."""
     if not poly.terms:
         return "0"
-    pieces = []
-    for i, (exps, coeff) in enumerate(poly.sorted_terms()):
-        mono = _render_monomial(poly.ring.names, exps)
-        if isinstance(coeff, (int, Fraction)):
-            neg = coeff < 0
-            mag = -coeff if neg else coeff
-            body = mono if (mag == 1 and mono) else (
-                f"{_coeff_str(mag)}*{mono}" if mono else _coeff_str(mag))
-            if i == 0:
-                pieces.append(("-" if neg else "") + body)
-            else:
-                pieces.append(("- " if neg else "+ ") + body)
-        else:
-            body = mono if (coeff == 1 and mono) else (
-                f"{_coeff_str(coeff)}*{mono}" if mono else _coeff_str(coeff))
-            pieces.append(body if i == 0 else "+ " + body)
-    return " ".join(pieces)
+    names = poly.ring.names
+    return render_terms((coeff, _render_monomial(names, exps))
+                        for exps, coeff in poly.sorted_terms())

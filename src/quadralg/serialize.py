@@ -7,10 +7,8 @@ serialize with ranks, shifts and entry strings and parse back exactly.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .algebra import QuadraticPresentation
-from .polynomials import render_poly
+from .polynomials import render_poly, render_terms
 from .resolutions import FreeComplex, FreeModuleMap
 from .scalars import field_descriptor, field_from_descriptor
 
@@ -18,8 +16,8 @@ FORMAT_VERSION = 1
 
 
 def _word_str(names, word):
-    if not word:
-        return "1"
+    """A word as letters joined by ``*``, runs as powers; ``""`` when
+    empty."""
     parts = []
     run_letter = None
     run_len = 0
@@ -40,30 +38,10 @@ def render_element(element):
     if not element.coords:
         return "0"
     pres = element.presentation
-    comp = pres.component(element.degree)
-    pieces = []
-    for idx in sorted(element.coords):
-        coeff = element.coords[idx]
-        mono = _word_str(pres.names, comp.words[idx])
-        if isinstance(coeff, (int, Fraction)):
-            neg = coeff < 0
-            mag = -coeff if neg else coeff
-            if mono == "1":
-                body = str(mag)
-            elif mag == 1:
-                body = mono
-            else:
-                body = f"{mag}*{mono}"
-            if not pieces:
-                pieces.append(("-" if neg else "") + body)
-            else:
-                pieces.append(("- " if neg else "+ ") + body)
-        else:
-            body = mono if mono != "1" else "1"
-            if coeff != pres.field.one or mono == "1":
-                body = f"{coeff}*{mono}" if mono != "1" else str(coeff)
-            pieces.append(body if not pieces else "+ " + body)
-    return " ".join(pieces)
+    names = pres.names
+    words = pres.component(element.degree).words
+    return render_terms((element.coords[idx], _word_str(names, words[idx]))
+                        for idx in sorted(element.coords))
 
 
 def presentation_to_dict(pres):
@@ -77,24 +55,8 @@ def presentation_to_dict(pres):
 
 def render_tensor_relation(pres, row):
     """A relation tensor (dict word-pair index -> coeff) as a string."""
-    n = pres.n
-    pieces = []
-    for col in sorted(row):
-        u, v = divmod(col, n)
-        coeff = row[col]
-        mono = _word_str(pres.names, (u, v))
-        if isinstance(coeff, (int, Fraction)):
-            neg = coeff < 0
-            mag = -coeff if neg else coeff
-            body = mono if mag == 1 else f"{mag}*{mono}"
-            if not pieces:
-                pieces.append(("-" if neg else "") + body)
-            else:
-                pieces.append(("- " if neg else "+ ") + body)
-        else:
-            body = f"{coeff}*{mono}"
-            pieces.append(body if not pieces else "+ " + body)
-    return " ".join(pieces)
+    return render_terms((row[col], _word_str(pres.names, divmod(col, pres.n)))
+                        for col in sorted(row))
 
 
 def presentation_from_dict(data):

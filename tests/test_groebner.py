@@ -1,12 +1,15 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from quadralg.groebner import (Ideal, groebner, intersect, intersect_all,
                                projective_empty, radical_member,
                                variety_equal)
-from quadralg.polynomials import PolyRing
+from quadralg.polynomials import (DEGREVLEX, EliminateLast, PolyRing,
+                                  order_from_name)
 from quadralg.scalars import QQ, GF
 
 
@@ -151,39 +154,117 @@ def test_zero_ideal_basis_is_empty(rxy):
     assert len(Ideal(rxy, []).groebner()) == 0
 
 
-def test_groebner_matches_independent_oracle(rxyz):
-    """Reduced bases agree with sympy's, up to scalar normalization."""
-    sympy = pytest.importorskip("sympy")
-    x, y, z = rxyz.gens()
-    systems = [
-        sec5_right_generators(rxyz),
-        [x * x + y * y - z * z, x * y - z * z],
-        [x * x - y, y * y - z, x * z - 1],
-    ]
-    sym_vars = sympy.symbols("x y z")
+def _sympy_reduced_basis(sympy, gens, order_name):
+    """sympy's reduced basis of the gens, read back into their ring and
+    normalized as ours are: primitive over QQ, monic over GF(p), where
+    sympy's symmetric residues are taken mod p by the ring's field."""
+    ring = gens[0].ring
+    p = ring.field.characteristic
+    sym_vars = sympy.symbols(ring.names)
 
-    def to_sympy(p):
+    def to_sympy(f):
         expr = sympy.Integer(0)
-        for e, c in p.terms.items():
-            term = sympy.Rational(c)
+        for e, c in f.terms.items():
+            term = sympy.Rational(str(c))
             for v, k in zip(sym_vars, e):
                 term *= v ** k
             expr += term
         return expr
 
-    def to_mine(expr):
-        poly = sympy.Poly(expr, *sym_vars)
-        return rxyz.from_terms(
-            (tuple(mono), Fraction(str(coeff)))
-            for mono, coeff in poly.terms()).primitive()
+    options = {"modulus": p} if p else {}
+    sgb = sympy.groebner([to_sympy(g) for g in gens], *sym_vars,
+                         order=order_name, **options)
+    return {frozenset(ring.from_terms(
+        (tuple(mono), int(coeff) if p else str(coeff))
+        for mono, coeff in sympy.Poly(e, *sym_vars, **options).terms()
+    ).primitive().terms.items()) for e in sgb.exprs}
 
-    for gens in systems:
+
+def _our_reduced_basis(gens):
+    return {frozenset(f.primitive().terms.items()) for f in groebner(gens)}
+
+
+def test_groebner_matches_independent_oracle():
+    """Reduced bases agree with sympy's, up to scalar normalization, over
+    QQ and over GF(p)."""
+    sympy = pytest.importorskip("sympy")
+    for field in (QQ, GF(7), GF(32003)):
+        ring = PolyRing(field, ["x", "y", "z"])
+        x, y, z = ring.gens()
+        systems = [
+            sec5_right_generators(ring),
+            [x * x + y * y - z * z, x * y - z * z],
+            [x * x - y, y * y - z, x * z - 1],
+        ]
+        for gens in systems:
+            assert _our_reduced_basis(gens) == \
+                _sympy_reduced_basis(sympy, gens, "grevlex")
+
+
+_SYMPY_ORDERS = {"degrevlex": "grevlex", "deglex": "grlex", "lex": "lex"}
+_QUADRICS = [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1),
+             (0, 0, 2)]
+
+
+@settings(max_examples=30)
+@given(field=st.sampled_from([QQ, GF(7), GF(32003)]),
+       order=st.sampled_from(sorted(_SYMPY_ORDERS)),
+       gens=st.lists(st.dictionaries(st.sampled_from(_QUADRICS),
+                                     st.integers(-6, 6), min_size=1,
+                                     max_size=4),
+                     min_size=1, max_size=3))
+def test_groebner_of_random_quadrics_matches_oracle(field, order, gens):
+    """Random homogeneous quadric ideals in three variables, in each order
+    and over QQ and GF(p), against sympy's reduced bases."""
+    sympy = pytest.importorskip("sympy")
+    ring = PolyRing(field, ["x", "y", "z"], order_from_name(order))
+    polys = [f for f in (ring.from_terms(g.items()) for g in gens) if f]
+    assume(polys)
+    assert _our_reduced_basis(polys) == \
+        _sympy_reduced_basis(sympy, polys, _SYMPY_ORDERS[order])
+
+
+def _s_polynomial(f, g):
+    lf, lg = f.lead_monomial(), g.lead_monomial()
+    lcm = tuple(max(a, b) for a, b in zip(lf, lg))
+    ring = f.ring
+    return (ring.monomial([a - b for a, b in zip(lcm, lf)],
+                          ring.field.inv(f.lead_coeff())) * f
+            - ring.monomial([a - b for a, b in zip(lcm, lg)],
+                            ring.field.inv(g.lead_coeff())) * g)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(32003)])
+def test_eliminate_last_basis_has_its_defining_properties(field):
+    """EliminateLast has no sympy order: check that every S-polynomial
+    reduces to zero, that the basis is reduced and that each generator
+    reduces to zero, on seeded random ideals with a last variable to
+    eliminate."""
+    rng = random.Random(23)
+    ring = PolyRing(field, ["x", "y", "t"], EliminateLast(DEGREVLEX))
+    monos = [(a, b, c) for a in range(3) for b in range(3) for c in range(2)
+             if a + b + c <= 2]
+    for _ in range(12):
+        gens = [f for f in (
+            ring.from_terms((m, rng.randint(-4, 4))
+                            for m in rng.sample(monos, rng.randint(2, 4)))
+            for _ in range(rng.randint(2, 3))) if f]
+        if not gens:
+            continue
         gb = groebner(gens)
-        sgb = sympy.groebner([to_sympy(g) for g in gens], *sym_vars,
-                             order="grevlex")
-        mine = {frozenset(p.primitive().terms.items()) for p in gb.polys}
-        theirs = {frozenset(to_mine(e).terms.items()) for e in sgb.exprs}
-        assert mine == theirs
+        polys = gb.polys
+        for f in gens:
+            assert gb.reduces_to_zero(f)
+        for f, g in combinations(polys, 2):
+            assert gb.reduces_to_zero(_s_polynomial(f, g))
+        leads = [f.lead_monomial() for f in polys]
+        for f in polys:
+            assert f.lead_coeff() == field.one
+            for e in f.terms:
+                assert not any(
+                    lm != f.lead_monomial()
+                    and all(a <= b for a, b in zip(lm, e))
+                    for lm in leads)
 
 
 def test_configurable_order():

@@ -71,6 +71,26 @@ def test_primitive_over_prime_field():
     assert f.primitive().lead_coeff() == GF(7)(1)
 
 
+def test_field_scalars_coerce_through_the_ring():
+    ring = PolyRing(GF(7), ["x", "y"])
+    x, _ = ring.gens()
+    c = GF(7)(3)
+    assert x * c == c * x == x * 3 == ring.monomial((1, 0), 3)
+    assert x + c == c + x == x + 3
+    assert x - c == x + 4
+    assert c - x == 3 - x == ring.constant(3) - x
+
+
+@pytest.mark.parametrize("field, scalar", [
+    (QQ, 0.5), (QQ, GF(7)(3)), (GF(7), 0.5), (GF(7), GF(5)(2))])
+def test_foreign_scalars_are_refused(field, scalar):
+    x = PolyRing(field, ["x", "y"]).var(0)
+    for op in (lambda: x + scalar, lambda: scalar + x, lambda: x - scalar,
+               lambda: scalar - x, lambda: x * scalar, lambda: scalar * x):
+        with pytest.raises(TypeError):
+            op()
+
+
 def test_render_canonical(ring):
     x, y, z = ring.gens()
     f = z * z * Fraction(-1, 2) + x * x - y
