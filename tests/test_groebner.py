@@ -40,6 +40,14 @@ def test_already_reduced_bases(rxy):
     assert len(gb2) == 2
 
 
+def _s_polynomial(f, g):
+    lmf, lmg = f.lead_monomial(), g.lead_monomial()
+    lcm = tuple(max(a, b) for a, b in zip(lmf, lmg))
+    ring = f.ring
+    return (ring.monomial([a - b for a, b in zip(lcm, lmf)]) * f.monic()
+            - ring.monomial([a - b for a, b in zip(lcm, lmg)]) * g.monic())
+
+
 def test_buchberger_closure_property(rxyz):
     """Every S-polynomial of basis pairs reduces to zero, and the original
     generators reduce to zero (full Buchberger criterion, checked directly)."""
@@ -48,14 +56,8 @@ def test_buchberger_closure_property(rxyz):
     assert not gb.contains_one()
     for g in gens:
         assert gb.reduces_to_zero(g)
-    polys = gb.polys
-    for f, g in combinations(polys, 2):
-        lmf, lmg = f.lead_monomial(), g.lead_monomial()
-        lcm = tuple(max(a, b) for a, b in zip(lmf, lmg))
-        mf = rxyz.monomial(tuple(a - b for a, b in zip(lcm, lmf)))
-        mg = rxyz.monomial(tuple(a - b for a, b in zip(lcm, lmg)))
-        s = mf * f.monic() - mg * g.monic()
-        assert gb.reduces_to_zero(s)
+    for f, g in combinations(gb.polys, 2):
+        assert gb.reduces_to_zero(_s_polynomial(f, g))
 
 
 def test_groebner_idempotent(rxyz):
@@ -222,16 +224,6 @@ def test_groebner_of_random_quadrics_matches_oracle(field, order, gens):
     assume(polys)
     assert _our_reduced_basis(polys) == \
         _sympy_reduced_basis(sympy, polys, _SYMPY_ORDERS[order])
-
-
-def _s_polynomial(f, g):
-    lf, lg = f.lead_monomial(), g.lead_monomial()
-    lcm = tuple(max(a, b) for a, b in zip(lf, lg))
-    ring = f.ring
-    return (ring.monomial([a - b for a, b in zip(lcm, lf)],
-                          ring.field.inv(f.lead_coeff())) * f
-            - ring.monomial([a - b for a, b in zip(lcm, lg)],
-                            ring.field.inv(g.lead_coeff())) * g)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(7), GF(32003)])
