@@ -417,11 +417,22 @@ class ResidueTables:
     def _pushed(self, pairs, shared=None):
         """For each (flat image, table) pair, the image pushed through the
         table (one flat image per index)."""
+        p = self.p
         out = []
         for flat, table in pairs:
-            if len(flat) == 2 and flat[1] == 1:  # one word: its image as is
-                out.append(table[flat[0]])
-                continue
+            if len(flat) == 2:  # one word
+                image = table[flat[0]]
+                c = flat[1]
+                if c == 1:  # its image as is
+                    out.append(image)
+                    continue
+                if len(image) == 2:  # one word, its scalar scaled by c
+                    # both are nonzero in a field (mod p: residues in
+                    # [1, p)), so their product is too
+                    v = c * image[1] if p is None else c * image[1] % p
+                    out.append((image[0], v if shared is None
+                                else shared.setdefault(v, v)))
+                    continue
             acc = {}
             it = iter(flat)
             for j, c in zip(it, it):
@@ -434,14 +445,24 @@ class ResidueTables:
         scalars, else its residues mod p, built afresh (``left_table`` reads
         it once per degree and does not keep it)."""
         step = self.presentation.component(d).step
-        if self.p is None:
+        p = self.p
+        if p is None:
             return step
         shared = {}
-        return [[tuple(x for j, c in zip(flat[::2], flat[1::2])
-                       if (r := self.scalar(c))
-                       for x in (j, shared.setdefault(r, r)))
-                 for flat in images]
-                for images in step]
+        share = shared.setdefault
+        table = []
+        for images in step:
+            row = []
+            for flat in images:
+                if len(flat) == 2 and type(flat[1]) is int:  # most images
+                    r = flat[1] % p
+                    row.append((flat[0], share(r, r)) if r else ())
+                    continue
+                row.append(tuple(x for j, c in zip(flat[::2], flat[1::2])
+                                 if (r := residue(c, p))
+                                 for x in (j, share(r, r))))
+            table.append(row)
+        return table
 
     def left_table(self, d):
         table = self.left.get(d)

@@ -115,7 +115,7 @@ def cone_extension(cplx, q_column, new_name=None):
             [phi, d[i]]]))
     out = FreeComplex(big, cplx.side, maps, {"skew_canonical": True})
     for i in range(len(maps) - 1):
-        if not maps[i].compose(maps[i + 1]).is_zero():
+        if not maps[i].composes_to_zero(maps[i + 1]):
             raise AssertionError(
                 "cone extension produced a nonzero composite; the input was "
                 "not a canonical skew resolution")

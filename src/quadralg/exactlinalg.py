@@ -114,11 +114,17 @@ class RowSpace:
         inv = field.inv(vec[lead])
         # coerced back: an integral Fraction product becomes its int
         row = {c: field(v * inv) for c, v in vec.items()}
+        # an int multiple of an int row keeps every scalar canonical; any
+        # other may leave an integral Fraction, which is coerced back
+        fractional = any(type(v) is Fraction for v in row.values())
         # keep older rows fully reduced against the new pivot
         for col, other in self.pivots.items():
             coeff = other.get(lead)
             if coeff:
                 add_scaled(other, row, -coeff)
+                if fractional or type(coeff) is Fraction:
+                    for c in row.keys() & other.keys():
+                        other[c] = field(other[c])
         self.pivots[lead] = row
         return True
 

@@ -6,8 +6,9 @@ the (i+1)-st differential's columns are the canonical basis of the degree
 (i+1) kernel of the i-th.  Left resolutions are right resolutions over the
 opposite algebra, transposed at the geometric boundary.
 
-Exactness at truncation is certified exactly: composite-zero symbolically
-over the algebra, then rank counting.  Each internal degree takes its ranks
+Exactness at truncation is certified exactly: composite-zero in field
+scalars from the scalar columns of each map (``composes_to_zero``), then
+rank counting.  Each internal degree takes its ranks
 from one top-down chain mod p, which eliminates d_L whole and each lower
 d_i only on its columns outside the lead rows of the echelon of d_{i+1}: at
 the characteristic over GF(p), where they are the ranks, and at a working
@@ -16,7 +17,8 @@ the dimension; QQ shortfalls take exact ranks.  The scalar matrices of a
 map are read off the algebra's left tables by one assembler, in either of
 their domains: ``degree_columns`` in field scalars for the nullspaces, the
 lifts and the exact ranks, and ``residue_columns`` in F_p, leaving out the
-columns the chain skips, for the chain.
+columns the chain skips, for the chain.  A map reads its entries once per
+domain, into a recipe of (row, word, scalar) terms per column.
 """
 
 from __future__ import annotations
@@ -52,7 +54,8 @@ class FreeModuleMap:
     ``target_shifts[k]``); it is homogeneous of the difference degree.
     """
 
-    __slots__ = ("presentation", "target_shifts", "source_shifts", "entries")
+    __slots__ = ("presentation", "target_shifts", "source_shifts", "entries",
+                 "_recipes")
 
     def __init__(self, presentation, target_shifts, source_shifts, entries):
         self.presentation = presentation
@@ -72,6 +75,7 @@ class FreeModuleMap:
         if len(rows) != len(self.target_shifts):
             raise ValueError("row count does not match target shifts")
         self.entries = tuple(rows)
+        self._recipes = {}  # scalar domain -> ``_recipe``
 
     @property
     def nrows(self):
@@ -85,27 +89,59 @@ class FreeModuleMap:
         return all(not e for row in self.entries for e in row)
 
     def compose(self, other):
-        """self o other (matrix product over the algebra)."""
+        """self o other (matrix product over the algebra).  The nonzero
+        entries of each column of ``self`` are indexed once, and only
+        products of two nonzero entries are taken."""
         if other.presentation is not self.presentation:
             raise ValueError("maps over different algebras")
         if other.target_shifts != self.source_shifts:
             raise ValueError("shapes/shifts do not compose")
         pres = self.presentation
-        out = []
-        for k in range(self.nrows):
-            row = []
-            for j in range(other.ncols):
-                deg = other.source_shifts[j] - self.target_shifts[k]
-                acc = {}
-                for t in range(self.ncols):
-                    a = self.entries[k][t]
-                    b = other.entries[t][j]
-                    if a and b:
-                        add_scaled(acc, (a * b).coords)
-                row.append(AlgebraElement(pres, max(deg, 0), acc))
-            out.append(row)
+        by_column = [[(k, row[t]) for k, row in enumerate(self.entries)
+                      if row[t]] for t in range(self.ncols)]
+        out = [[None] * other.ncols for _ in range(self.nrows)]
+        for j, s in enumerate(other.source_shifts):
+            sums = {}
+            for t, row in enumerate(other.entries):
+                b = row[j]
+                if b:
+                    for k, a in by_column[t]:
+                        add_scaled(sums.setdefault(k, {}), (a * b).coords)
+            for k, t in enumerate(self.target_shifts):
+                out[k][j] = AlgebraElement(pres, max(s - t, 0),
+                                           sums.get(k, {}))
         return FreeModuleMap(pres, self.target_shifts, other.source_shifts,
                              out)
+
+    def composes_to_zero(self, other):
+        """Whether self o other is zero, read off the scalar columns of
+        ``self`` with no product over the algebra.  Column j of other, of
+        source shift s, sums c times column (t, w) of ``degree_columns(s)``
+        over the coordinates c*w of its entries (t, j): that is the image of
+        source generator j, and it must vanish.  Exact, in field scalars."""
+        if other.presentation is not self.presentation:
+            raise ValueError("maps over different algebras")
+        if other.target_shifts != self.source_shifts:
+            raise ValueError("shapes/shifts do not compose")
+        by_shift = {}
+        for j, s in enumerate(other.source_shifts):
+            if any(row[j] for row in other.entries):
+                by_shift.setdefault(s, []).append(j)
+        for s, group in by_shift.items():
+            columns, _, labels = self.degree_columns(s)
+            column = dict(zip(labels, columns))
+            for j in group:
+                acc = {}
+                get = acc.get
+                for t, row in enumerate(other.entries):
+                    ent = row[j]
+                    if ent:
+                        for w, c in ent.coords.items():
+                            for i, v in column[t, w].items():
+                                acc[i] = get(i, 0) + c * v
+                if any(acc.values()):
+                    return False
+        return True
 
     def add(self, other):
         if (other.target_shifts != self.target_shifts
@@ -186,53 +222,69 @@ class FreeModuleMap:
             total += pres.dim(d) if d >= 0 else 0
         return offsets, total
 
+    def _recipe(self, p):
+        """For each source generator j, the nonzero entries of column j as
+        (row k, word, scalar) per coordinate, their scalars in the domain
+        of ``tables(p)``; built once per domain (raises PrimeClash, and
+        keeps nothing, when a denominator is divisible by p)."""
+        recipe = self._recipes.get(p)
+        if recipe is None:
+            pres = self.presentation
+            scalar = pres.tables(p).scalar
+            recipe = []
+            for j in range(self.ncols):
+                terms = []
+                for k, row in enumerate(self.entries):
+                    ent = row[j]
+                    if ent:
+                        basis = pres.component(ent.degree).words
+                        terms.extend((k, basis[i], r)
+                                     for i, c in ent.coords.items()
+                                     if (r := scalar(c)))
+                recipe.append(terms)
+            self._recipes[p] = recipe
+        return recipe
+
     def _columns(self, e, p, skip=()):
         """The internal-degree-e scalar matrix in the domain of the left
-        tables ``tables(p)``: (sparse columns, nrows, col_labels).  Column
-        (j, w) sums each nonzero entry of column j times basis word w of
-        A_{e - shift}: each word of the entry is walked on the left through
-        the tables, and its rows go to the entry's block.  The columns
-        whose index is in ``skip`` are left out, and not built."""
+        tables ``tables(p)``: (sparse columns, nrows).  Column (j, w) sums
+        each term (k, word, c) of column j's recipe times basis word w of
+        A_{e - shift}: the word is walked on the left through the tables,
+        and its rows go to block k.  The columns whose index is in ``skip``
+        are left out, and not built."""
         pres = self.presentation
         tables = pres.tables(p)
         row_offsets, total_rows = self.row_offsets(e)
         columns = [] if p is None else ResidueColumns(p)
-        labels = []
         base = 0
-        for j, s in enumerate(self.source_shifts):
+        for s, recipe in zip(self.source_shifts, self._recipe(p)):
             d = e - s
             dim = pres.dim(d) if d >= 0 else 0
             words = [w for w in range(dim) if base + w not in skip]
             base += dim
-            if not words:
-                continue
-            terms = []
-            for k, row in enumerate(self.entries):
-                ent = row[j]
-                if ent:
-                    basis = pres.component(ent.degree).words
-                    terms.extend(
-                        (row_offsets[k], tables.images(basis[i], d), r)
-                        for i, c in ent.coords.items()
-                        if (r := tables.scalar(c)))
-            columns.extend(residue_sums(terms, words, p))
-            labels.extend((j, w) for w in words)
-        return columns, total_rows, labels
+            if words:
+                columns.extend(residue_sums(
+                    [(row_offsets[k], tables.images(word, d), c)
+                     for k, word, c in recipe], words, p))
+        return columns, total_rows
 
     def degree_columns(self, e):
         """Scalar matrix of the internal-degree-e component, as sparse
         columns of field scalars; returns (columns, nrows, col_labels)."""
-        return self._columns(e, None)
+        columns, total_rows = self._columns(e, None)
+        pres = self.presentation
+        labels = [(j, w) for j, s in enumerate(self.source_shifts)
+                  if e >= s for w in range(pres.dim(e - s))]
+        return columns, total_rows, labels
 
     def residue_columns(self, e, p, skip=()):
         """``degree_columns(e)`` reduced mod p, built from the residue tables
         ``tables(p)``, a working prime of a QQ algebra or the characteristic
         of a GF(p) one: (``ResidueColumns``, nrows), with the same rows and
         the same columns but those whose index is in ``skip``, which are not
-        built.  Each entry's coordinates are reduced once; raises
+        built.  Each entry's coordinates are reduced once per map; raises
         PrimeClash."""
-        columns, total_rows, _ = self._columns(e, p, skip)
-        return columns, total_rows
+        return self._columns(e, p, skip)
 
     def to_linear_form_matrix(self, ring=None):
         """View as a matrix of degree-1 forms (entries must be linear or 0)."""
@@ -464,10 +516,12 @@ def _chain_ranks(cplx, e):
 def verify_complex(cplx, internal_cap):
     """Composite-zero, homology-vanishing and minimality at a truncation.
 
-    The composites d_i o d_{i+1} are checked symbolically over the algebra.
-    When they are all zero, each internal degree takes the ranks of one
-    top-down chain mod p (``_chain_ranks``): over GF(p) they are the ranks,
-    and over QQ they decide an entry where they meet their upper bound.
+    The composites d_i o d_{i+1} are checked in field scalars, column by
+    column, from the scalar columns of d_i (``composes_to_zero``); no
+    composite map is built.  When they are all zero, each internal degree
+    takes the ranks of one top-down chain mod p (``_chain_ranks``): over
+    GF(p) they are the ranks, and over QQ they decide an entry where they
+    meet their upper bound.
     Every other entry, and every rank of a complex with a nonzero
     composite, takes the exact ranks of ``degree_columns``.  Homology
     dimensions are exact either way.  Failures are report content, not
@@ -485,8 +539,7 @@ def verify_complex(cplx, internal_cap):
 
     composites = []
     for i in range(1, cplx.length):
-        comp = cplx.maps[i - 1].compose(cplx.maps[i])
-        composites.append(comp.is_zero())
+        composites.append(cplx.maps[i - 1].composes_to_zero(cplx.maps[i]))
     report = VerificationReport(internal_cap=internal_cap,
                                 composites_zero=composites)
     # minimality: any nonzero entry of degree <= 0

@@ -13,7 +13,7 @@ from fractions import Fraction
 from hypothesis import given, strategies as st
 
 from quadralg.algebra import QuadraticPresentation
-from quadralg.exactlinalg import MODULAR_PRIMES, residue
+from quadralg.exactlinalg import MODULAR_PRIMES, RowSpace, residue
 from quadralg.resolutions import linear_resolution
 from quadralg.scalars import QQ
 from quadralg.shamash import shamash
@@ -88,3 +88,32 @@ def test_non_integral_skew_parameters_give_no_float(params, value):
     for c in [value, *scalars]:
         if c.denominator == 1:
             assert residue(int(c), p) == residue(Fraction(c), p)
+
+
+def test_back_reduction_leaves_canonical_scalars():
+    """Back-reducing an older pivot row may leave an integral Fraction, here
+    3/2 - 1/2; the row keeps the int."""
+    space = RowSpace(QQ)
+    space.add({0: 1, 1: Fraction(1, 2), 2: Fraction(3, 2)})
+    space.add({1: 1, 2: 1})
+    assert space.pivots[0] == {0: 1, 2: 1}
+    assert all(type(c) is int for row in space.pivots.values()
+               for c in row.values())
+
+
+def test_resolutions_with_fractional_parameters_keep_integral_ints():
+    """The skew algebra with q_xy = 1/2, q_xz = 3, q_yz = 2/3: entry (0, 0)
+    of d_3 of its right resolution is integral after the back-reduction of
+    the nullspace's echelon.  Every integral entry scalar of P, and of its
+    quotient resolution by the normal quadric x^2, is an int."""
+    q = [[1, Fraction(1, 2), 3], [2, 1, Fraction(2, 3)],
+         [Fraction(1, 3), Fraction(3, 2), 1]]
+    A = QuadraticPresentation.skew(QQ, ["x", "y", "z"], q, degree_cap=5)
+    P = linear_resolution(A, "right", 3)
+    x = A.generator(0)
+    T, _ = shamash(A, P, x * x, length=3, internal_cap=5)
+    for cplx in (P, T):
+        scalars = list(_complex_scalars(cplx))
+        assert scalars
+        assert all(type(c) is int for c in scalars if c.denominator == 1)
+    assert any(type(c) is Fraction for c in _complex_scalars(P))

@@ -32,18 +32,18 @@ _c = st.sampled_from([Fraction(0)] * 3 + [Fraction(1), Fraction(-1),
 
 
 @st.composite
-def skew_algebras(draw):
+def skew_algebras(draw, field=QQ):
     n = draw(st.integers(2, 3))
     q = [[Fraction(1)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             q[i][j] = draw(_q)
             q[j][i] = 1 / q[i][j]
-    return QuadraticPresentation.skew(QQ, NAMES[:n], q, degree_cap=CAP)
+    return QuadraticPresentation.skew(field, NAMES[:n], q, degree_cap=CAP)
 
 
 @st.composite
-def dense_algebras(draw):
+def dense_algebras(draw, field=QQ):
     n = draw(st.integers(2, 3))
     words = [(u, v) for u in range(n) for v in range(n)]
     rels = []
@@ -53,10 +53,14 @@ def dense_algebras(draw):
             rels.append(rel)
     if not rels:
         rels = [{(0, 1): Fraction(1), (1, 0): Fraction(-1)}]
-    return QuadraticPresentation.create(QQ, NAMES[:n], rels, degree_cap=CAP)
+    return QuadraticPresentation.create(field, NAMES[:n], rels,
+                                        degree_cap=CAP)
 
 
 ALGEBRAS = st.one_of(skew_algebras(), dense_algebras())
+# over GF(7) and GF(11), whose residue tables are taken at the characteristic
+GF_ALGEBRAS = st.sampled_from([GF(7), GF(11)]).flatmap(
+    lambda field: st.one_of(skew_algebras(field), dense_algebras(field)))
 
 
 def _reduced(vec, p):
@@ -80,6 +84,27 @@ def test_residue_tables_reduce_the_rational_tables(pres, p):
                         == _reduced(_as_dict(step[a][i]), p))
                 assert (_as_dict(tables.left_table(d)[a][i])
                         == _reduced(_as_dict(left[a][i]), p))
+
+
+def _values(flat):
+    return tuple(x.val if i % 2 else x for i, x in enumerate(flat))
+
+
+@given(GF_ALGEBRAS)
+@settings(max_examples=30, deadline=None)
+def test_residue_tables_at_the_characteristic_are_the_field_tables(pres):
+    """Over GF(p) the tables of ``tables(p)`` hold the ``.val`` of the field
+    tables, image by image and in the same order."""
+    p = pres.field.p
+    tables, field_tables = pres.tables(p), pres.tables()
+    for d in range(1, 5):
+        for get in ("step_table", "left_table"):
+            got = getattr(tables, get)(d)
+            want = getattr(field_tables, get)(d)
+            assert got == [[_values(flat) for flat in images]
+                           for images in want]
+            assert all(type(v) is int and 0 < v < p for images in got
+                       for flat in images for v in flat[1::2])
 
 
 @given(ALGEBRAS, _primes)
