@@ -16,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .algebra import (DEFAULT_DEGREE_CAP, DegreeCapExceeded,
@@ -27,7 +26,7 @@ from .geometry import (check_g1, check_point_exact, point_variety,
 from .groebner import variety_equal
 from .linearforms import ProjPoint, geometry_ring
 from .parsing import (ParseError, parse_element, parse_presentation_file,
-                      presentation_to_text)
+                      parse_rational, presentation_to_text)
 from .resolutions import FreeComplex, NonlinearKernelError, linear_resolution
 from .serialize import (complex_to_dict, ideal_strings,
                         point_exact_report_to_dict, point_to_strings,
@@ -314,7 +313,7 @@ def _cmd_quotient(args, pres, cap, lift):
 def _cmd_sigma(args, pres, cap, lift):
     # the point is input: refuse a malformed one before (G1) is decided
     try:
-        pt = ProjPoint([Fraction(c) for c in args.point.split(",")],
+        pt = ProjPoint([parse_rational(c) for c in args.point.split(",")],
                        pres.field)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad point coordinates: {exc}") from None

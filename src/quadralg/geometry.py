@@ -289,11 +289,10 @@ def _upper_by_minors(tester, mat, rho):
 def _product_in_relations(presentation, first, second):
     """Every entry of ``first``·``second``, read as the bilinear form
     sum_k first[l][k](x) * second[k][j](y), lies in the span of the
-    relation forms: the rows ``rel_rows`` (``relation_matrices()``
-    flattened to n^2 vectors, a basis of R) keep their rank when the
-    entries are added."""
+    relation forms: the space R of ``rel_rows`` (``relation_matrices()``
+    flattened to n^2 vectors) contains each."""
     n = presentation.n
-    rows = list(presentation.rel_rows)
+    space = presentation._rel_space
     for frow in first.rows:
         for j in range(second.shape[1]):
             vec = {}
@@ -301,8 +300,9 @@ def _product_in_relations(presentation, first, second):
                 add_scaled(vec, {u * n + v: c * w
                                  for u, c in enumerate(a) if c
                                  for v, w in enumerate(brow[j]) if w})
-            rows.append(vec)
-    return exact_rank(rows, presentation.field) == presentation.r
+            if not space.contains(vec):
+                return False
+    return True
 
 
 def check_point_exact(presentation, side, max_degree, resolutions=None,

@@ -4,12 +4,13 @@ Grammar (whitespace-insensitive within a line, ``#`` comments):
 
     file        := line*
     line        := "field" FIELD | "vars" namelist | "rel" ncpoly
-                 | "skew" (followed by n lines of n nonzero rationals)
+                 | "skew" (followed by n lines of n nonzero [sign] RATIONAL)
     FIELD       := "QQ" | prime
     namelist    := NAME ("," NAME | NAME)*
     ncpoly      := [sign] term (sign term)*
     term        := factor ("*" factor)*        -- juxtaposition is forbidden
     factor      := RATIONAL | NAME ["^" NAT]
+    RATIONAL    := DIGITS ["/" DIGITS]         -- also a --point coordinate
 
 Relations must be homogeneous of degree 2.  Errors carry line and column.
 """
@@ -34,8 +35,26 @@ class ParseError(ValueError):
         self.col = col
 
 
-_TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z_]\w*)"
+_RATIONAL = r"\d+(?:/\d+)?"
+_TOKEN = re.compile(rf"\s*(?:(?P<num>{_RATIONAL})|(?P<name>[A-Za-z_]\w*)"
                     r"|(?P<op>[-+*^]))")
+_SIGNED_RATIONAL = re.compile(rf"[-+]?{_RATIONAL}")
+
+
+def parse_rational(text, line=None, col=None):
+    """An optionally signed RATIONAL of the grammar (digits, or digits/
+    digits) as a Fraction: a number token, a skew entry or a ``--point``
+    coordinate.  Anything else, an exponent, a decimal point or a digit
+    separator among it, is a ParseError."""
+    text = text.strip()
+    if not _SIGNED_RATIONAL.fullmatch(text):
+        raise ParseError(f"bad rational {text[:40]!r}", line, col)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ParseError("zero denominator", line, col) from None
+    except ValueError:
+        raise ParseError("number too long", line, col) from None
 
 
 def _tokenize(text, line=None):
@@ -50,14 +69,7 @@ def _tokenize(text, line=None):
             raise ParseError(f"unexpected character {rest[0]!r}", line,
                              pos + 1)
         if m.group("num"):
-            try:
-                value = Fraction(m.group("num"))
-            except ZeroDivisionError:
-                raise ParseError("zero denominator", line,
-                                 m.start() + 1) from None
-            except ValueError:
-                raise ParseError("number too long", line,
-                                 m.start() + 1) from None
+            value = parse_rational(m.group("num"), line, m.start() + 1)
             out.append(("num", value, m.start() + 1))
         elif m.group("name"):
             out.append(("name", m.group("name"), m.start() + 1))
@@ -240,11 +252,8 @@ def parse_presentation_text(text, degree_cap=None):
                     raise ParseError(
                         f"skew row has {len(entries)} entries, needs {n}",
                         row_no)
-                try:
-                    skew_rows.append([Fraction(e) for e in entries])
-                except (ValueError, ZeroDivisionError):
-                    raise ParseError("bad rational in skew row",
-                                     row_no) from None
+                skew_rows.append([parse_rational(e, row_no)
+                                  for e in entries])
             if len(skew_rows) != n:
                 raise ParseError("skew matrix ended early", skew_at)
         else:

@@ -1,35 +1,39 @@
 """Free complexes over a quadratic algebra and minimal linear resolutions.
 
 Maps between free graded modules are matrices of homogeneous elements with
-per-generator shifts.  The trivial right module is resolved degree by degree:
-the (i+1)-st differential's columns are the canonical basis of the degree
-(i+1) kernel of the i-th.  Left resolutions are right resolutions over the
-opposite algebra, transposed at the geometric boundary.
+per-generator shifts.  Column j of source shift s is also a coordinate
+vector at internal degree s, block k in A_{s - target shift k}; one
+converter pair, ``map_from_vectors`` and ``column_vectors``, moves between
+the two.  One kernel composes: column j of self o other sums the scalar
+columns of self at s (``_image_columns``), for ``compose`` and
+``composes_to_zero``.  The trivial right module is resolved degree by
+degree: the (i+1)-st differential's columns are the canonical basis of the
+degree (i+1) kernel of the i-th.  Left resolutions are right resolutions
+over the opposite algebra, transposed at the geometric boundary.
 
-Exactness at truncation is certified exactly: composite-zero in field
-scalars from the scalar columns of each map (``composes_to_zero``), then
-rank counting.  Each internal degree takes its ranks
-from one top-down chain mod p, which eliminates d_L whole and each lower
-d_i only on its columns outside the lead rows of the echelon of d_{i+1}: at
-the characteristic over GF(p), where they are the ranks, and at a working
-prime over QQ, where they are lower bounds that decide wherever they meet
-the dimension; QQ shortfalls take exact ranks.  The scalar matrices of a
-map are read off the algebra's left tables by one assembler, in either of
-their domains: ``degree_columns`` in field scalars for the nullspaces, the
-lifts and the exact ranks, and ``residue_columns`` in F_p, leaving out the
+Exactness at truncation is certified exactly: composite-zero, then rank
+counting.  Each internal degree takes its ranks from one top-down chain
+mod p, which eliminates d_L whole and each lower d_i only on its columns
+outside the lead rows of the echelon of d_{i+1}: at the characteristic
+over GF(p), where they are the ranks, and at a working prime over QQ,
+where they are lower bounds that decide wherever they meet the dimension;
+QQ shortfalls take exact ranks.  The scalar matrices of a map are read off
+the algebra's left tables by one assembler, in either of their domains:
+``degree_columns`` in field scalars for the compositions, nullspaces,
+lifts and exact ranks, and ``residue_columns`` in F_p, leaving out the
 columns the chain skips, for the chain.  A map reads its entries once per
 domain, into a recipe of (row, word, scalar) terms per column.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .algebra import (AlgebraElement, GradedAutomorphism, convert_element,
                       residue_sums)
-from .exactlinalg import (ResidueColumns, add_scaled, columns_to_rows,
-                          modular_rank, nullspace, over_working_primes,
-                          rank_of_columns, solve_batch)
+from .exactlinalg import (ResidueColumns, columns_to_rows, modular_rank,
+                          nullspace, over_working_primes, rank_of_columns)
 from .linearforms import LinearFormMatrix, geometry_ring
 
 
@@ -89,59 +93,41 @@ class FreeModuleMap:
         return all(not e for row in self.entries for e in row)
 
     def compose(self, other):
-        """self o other (matrix product over the algebra).  The nonzero
-        entries of each column of ``self`` are indexed once, and only
-        products of two nonzero entries are taken."""
-        if other.presentation is not self.presentation:
-            raise ValueError("maps over different algebras")
-        if other.target_shifts != self.source_shifts:
-            raise ValueError("shapes/shifts do not compose")
-        pres = self.presentation
-        by_column = [[(k, row[t]) for k, row in enumerate(self.entries)
-                      if row[t]] for t in range(self.ncols)]
-        out = [[None] * other.ncols for _ in range(self.nrows)]
-        for j, s in enumerate(other.source_shifts):
-            sums = {}
-            for t, row in enumerate(other.entries):
-                b = row[j]
-                if b:
-                    for k, a in by_column[t]:
-                        add_scaled(sums.setdefault(k, {}), (a * b).coords)
-            for k, t in enumerate(self.target_shifts):
-                out[k][j] = AlgebraElement(pres, max(s - t, 0),
-                                           sums.get(k, {}))
-        return FreeModuleMap(pres, self.target_shifts, other.source_shifts,
-                             out)
+        """self o other with no product over the algebra: the images of
+        ``_image_columns`` split into entries by ``map_from_vectors``."""
+        return map_from_vectors(self.presentation, self.target_shifts,
+                                other.source_shifts,
+                                self._image_columns(other))
 
     def composes_to_zero(self, other):
-        """Whether self o other is zero, read off the scalar columns of
-        ``self`` with no product over the algebra.  Column j of other, of
-        source shift s, sums c times column (t, w) of ``degree_columns(s)``
-        over the coordinates c*w of its entries (t, j): that is the image of
-        source generator j, and it must vanish.  Exact, in field scalars."""
+        """Whether self o other is zero: every image is zero."""
+        return not any(self._image_columns(other))
+
+    def _image_columns(self, other):
+        """For each source generator j of ``other``, of shift s, its image
+        under self o other in the rows of ``self.degree_columns(s)``: c
+        times column i summed over the cells (i, c) of column j of
+        ``other`` as a vector at s.  A zero column builds no matrix."""
         if other.presentation is not self.presentation:
             raise ValueError("maps over different algebras")
         if other.target_shifts != self.source_shifts:
             raise ValueError("shapes/shifts do not compose")
+        vectors = column_vectors(other)
+        images = [{} for _ in vectors]
         by_shift = {}
-        for j, s in enumerate(other.source_shifts):
-            if any(row[j] for row in other.entries):
+        for j, (s, vec) in enumerate(zip(other.source_shifts, vectors)):
+            if vec:
                 by_shift.setdefault(s, []).append(j)
         for s, group in by_shift.items():
-            columns, _, labels = self.degree_columns(s)
-            column = dict(zip(labels, columns))
+            columns = self.degree_columns(s)[0]
             for j in group:
                 acc = {}
                 get = acc.get
-                for t, row in enumerate(other.entries):
-                    ent = row[j]
-                    if ent:
-                        for w, c in ent.coords.items():
-                            for i, v in column[t, w].items():
-                                acc[i] = get(i, 0) + c * v
-                if any(acc.values()):
-                    return False
-        return True
+                for i, c in vectors[j].items():
+                    for r, v in columns[i].items():
+                        acc[r] = get(r, 0) + c * v
+                images[j] = {r: v for r, v in acc.items() if v}
+        return images
 
     def add(self, other):
         if (other.target_shifts != self.target_shifts
@@ -163,25 +149,6 @@ class FreeModuleMap:
 
     def sub(self, other):
         return self.add(other.negate())
-
-    def scale_scalar_left(self, scalar_rows):
-        """Compose with a scalar matrix on the target side."""
-        pres = self.presentation
-        out = []
-        for srow in scalar_rows:
-            row = []
-            for j in range(self.ncols):
-                acc = {}
-                deg = max(self.source_shifts[j] - self.target_shifts[0],
-                          0) if self.target_shifts else 0
-                for t, c in enumerate(srow):
-                    e = self.entries[t][j]
-                    if c and e:
-                        add_scaled(acc, e.coords, c)
-                        deg = e.degree
-                row.append(AlgebraElement(pres, deg, acc))
-            out.append(row)
-        return out
 
     def twist(self, tau):
         """Entrywise application of a graded automorphism."""
@@ -208,19 +175,6 @@ class FreeModuleMap:
         return FreeModuleMap(target, self.target_shifts, self.source_shifts,
                              [[convert_element(e, target, linmap) for e in row]
                               for row in self.entries])
-
-    def row_offsets(self, e):
-        """Where each target generator's block of A_{e - shift} starts in
-        the rows of the internal-degree-e scalar matrix; returns (offsets,
-        nrows)."""
-        pres = self.presentation
-        offsets = []
-        total = 0
-        for t in self.target_shifts:
-            offsets.append(total)
-            d = e - t
-            total += pres.dim(d) if d >= 0 else 0
-        return offsets, total
 
     def _recipe(self, p):
         """For each source generator j, the nonzero entries of column j as
@@ -254,7 +208,7 @@ class FreeModuleMap:
         are left out, and not built."""
         pres = self.presentation
         tables = pres.tables(p)
-        row_offsets, total_rows = self.row_offsets(e)
+        row_offsets, total_rows = block_offsets(pres, self.target_shifts, e)
         columns = [] if p is None else ResidueColumns(p)
         base = 0
         for s, recipe in zip(self.source_shifts, self._recipe(p)):
@@ -270,12 +224,9 @@ class FreeModuleMap:
 
     def degree_columns(self, e):
         """Scalar matrix of the internal-degree-e component, as sparse
-        columns of field scalars; returns (columns, nrows, col_labels)."""
-        columns, total_rows = self._columns(e, None)
-        pres = self.presentation
-        labels = [(j, w) for j, s in enumerate(self.source_shifts)
-                  if e >= s for w in range(pres.dim(e - s))]
-        return columns, total_rows, labels
+        columns of field scalars, one per coordinate of the source at e
+        (``block_offsets``); returns (columns, nrows)."""
+        return self._columns(e, None)
 
     def residue_columns(self, e, p, skip=()):
         """``degree_columns(e)`` reduced mod p, built from the residue tables
@@ -311,13 +262,65 @@ class FreeModuleMap:
                 f"{list(self.target_shifts)} <- {list(self.source_shifts)}>")
 
 
-def zero_map(presentation, target_shifts, source_shifts):
-    rows = []
-    for t in target_shifts:
-        rows.append([AlgebraElement(presentation,
-                                    max(s - t, 0), {})
-                     for s in source_shifts])
+def block_offsets(presentation, shifts, e):
+    """Where each generator's block of A_{e - shift} starts among the
+    coordinates, at internal degree e, of the free module with ``shifts``
+    (the rows of a scalar matrix at e of a map into it); returns (offsets,
+    total)."""
+    offsets = []
+    total = 0
+    for t in shifts:
+        offsets.append(total)
+        d = e - t
+        total += presentation.dim(d) if d >= 0 else 0
+    return offsets, total
+
+
+def map_from_vectors(presentation, target_shifts, source_shifts, vectors):
+    """The map whose column j has the coordinates ``vectors[j]`` at its
+    source shift s: entry k is the block of A_{s - target_shifts[k]} at
+    its ``block_offsets``.  Each vector is split in one pass, bisecting the
+    block starts; an empty one is a zero column and reads no dimension."""
+    starts = {}
+    rows = [[] for _ in target_shifts]
+    for s, vec in zip(source_shifts, vectors):
+        blocks = [{} for _ in target_shifts]
+        if vec:
+            if s not in starts:
+                starts[s] = block_offsets(presentation, target_shifts, s)[0]
+            offsets = starts[s]
+            for i, v in vec.items():
+                k = bisect_right(offsets, i) - 1
+                blocks[k][i - offsets[k]] = v
+        for row, t, block in zip(rows, target_shifts, blocks):
+            row.append(AlgebraElement(presentation, max(s - t, 0), block))
     return FreeModuleMap(presentation, target_shifts, source_shifts, rows)
+
+
+def column_vectors(fmap):
+    """Each column of ``fmap`` as a coordinate vector at its source shift,
+    in the rows of the scalar matrices there: the inverse of
+    ``map_from_vectors``."""
+    pres = fmap.presentation
+    starts = {}
+    vectors = []
+    for j, s in enumerate(fmap.source_shifts):
+        vec = {}
+        for k, row in enumerate(fmap.entries):
+            ent = row[j]
+            if ent:
+                if s not in starts:
+                    starts[s] = block_offsets(pres, fmap.target_shifts, s)[0]
+                off = starts[s][k]
+                for w, c in ent.coords.items():
+                    vec[off + w] = c
+        vectors.append(vec)
+    return vectors
+
+
+def zero_map(presentation, target_shifts, source_shifts):
+    return map_from_vectors(presentation, target_shifts, source_shifts,
+                            [{}] * len(source_shifts))
 
 
 def diagonal_map(presentation, shifts, elements):
@@ -478,7 +481,7 @@ def _exact_rank(cache, cplx, i, e):
     memoized per (i, e)."""
     key = (i, e)
     if key not in cache:
-        cols, nrows, _ = cplx.maps[i - 1].degree_columns(e)
+        cols, nrows = cplx.maps[i - 1].degree_columns(e)
         cache[key] = rank_of_columns(cols, nrows, cplx.presentation.field)
     return cache[key]
 
@@ -598,28 +601,14 @@ def linear_resolution(presentation, side="right", length=6, check="raise"):
         return cached
     field = pres.field
     n = pres.n
-    maps = []
-    d1 = FreeModuleMap(pres, (0,), (1,) * n,
-                       [[pres.generator(j) for j in range(n)]])
-    maps.append(d1)
+    maps = [map_from_vectors(pres, (0,), (1,) * n,
+                             [{j: field.one} for j in range(n)])]
     for i in range(1, length):
         d = maps[-1]
-        cols, nrows, labels = d.degree_columns(i + 1)
+        cols, nrows = d.degree_columns(i + 1)
         null = nullspace(columns_to_rows(cols, nrows), len(cols), field)
-        s_next = len(null)
-        src = d.source_shifts
-        entries = []
-        for k in range(len(src)):
-            row = []
-            for vec in null:
-                coeffs = {}
-                for cidx, v in vec.items():
-                    j, w = labels[cidx]
-                    if j == k:
-                        coeffs[w] = v
-                row.append(AlgebraElement(pres, 1, coeffs))
-            entries.append(row)
-        maps.append(FreeModuleMap(pres, src, (i + 1,) * s_next, entries))
+        maps.append(map_from_vectors(pres, d.source_shifts,
+                                     (i + 1,) * len(null), null))
     cplx = FreeComplex(pres, side, maps)
     report = verify_complex(cplx, length + 1)
     cplx.meta["verification"] = report
@@ -646,61 +635,35 @@ def twist_complex(cplx, tau):
 def scalar_chain_isomorphism(c1, c2):
     """Invertible scalar matrices phi_i with phi_{i-1} d_i = d'_i phi_i.
 
-    Returns the list [phi_0, ..., phi_L] or None when the complexes are not
-    isomorphic over scalars.  phi_0 is normalized to the identity.
+    Returns [phi_0, ..., phi_L], phi_0 the identity, or None.  phi_i is
+    read off ``lift_against(d'_i, Phi_{i-1} o d_i)``, Phi_{i-1} being
+    phi_{i-1} as a map of degree-0 elements: None when that lift is
+    inconsistent or phi_i is singular.  A scalar matrix is graded only
+    between generators of equal shift, so the rule is one shift per F_i,
+    i >= 1, where every unknown of the lift is a scalar; a complex with
+    two shifts in one degree gives None.
     """
     from .exactlinalg import invert_matrix
+    from .shamash import HomotopyLiftError, lift_against
     if c1.presentation is not c2.presentation or c1.length != c2.length:
         return None
     pres = c1.presentation
     field = pres.field
     phis = [[[field.one]]]
-    for i in range(1, c1.length + 1):
-        d, dp = c1.maps[i - 1], c2.maps[i - 1]
+    for d, dp in zip(c1.maps, c2.maps):
         if (d.source_shifts != dp.source_shifts
-                or d.target_shifts != dp.target_shifts):
+                or d.target_shifts != dp.target_shifts
+                or len(set(d.source_shifts)) > 1):
             return None
-        s = d.ncols
-        if s == 0:
-            phis.append([])
-            continue
-        lhs_rows = d.scale_scalar_left(phis[-1])  # phi_{i-1} o d_i
-        # unknown phi_i columns: d'_i . phi_i[:, j] = lhs[:, j]
-        eq_rows = []
-        row_index = {}
-
-        def row_of(k, coord):
-            key = (k, coord)
-            if key not in row_index:
-                row_index[key] = len(eq_rows)
-                eq_rows.append({})
-            return row_index[key]
-
-        for k in range(dp.nrows):
-            for t in range(s):
-                ent = dp.entries[k][t]
-                if not ent:
-                    continue
-                for coord, c in ent.coords.items():
-                    eq_rows[row_of(k, coord)][t] = c
-        rhs_list = []
-        for j in range(s):
-            rhs = {}
-            for k in range(d.nrows):
-                ent = lhs_rows[k][j]
-                if not ent:
-                    continue
-                for coord, c in ent.coords.items():
-                    if (k, coord) in row_index:
-                        rhs[row_index[(k, coord)]] = c
-                    elif c:
-                        return None
-            rhs_list.append(rhs)
-        sols = solve_batch(eq_rows, s, rhs_list, field)
-        if any(sol is None for sol in sols):
+        prev = FreeModuleMap(pres, dp.target_shifts, d.target_shifts,
+                             [[AlgebraElement(pres, 0, {0: c}) for c in row]
+                              for row in phis[-1]])
+        try:
+            lift = lift_against(dp, prev.compose(d))
+        except HomotopyLiftError:
             return None
-        phi = [[sols[j].get(t, field.zero) for j in range(s)]
-               for t in range(s)]
+        phi = [[ent.coords.get(0, field.zero) for ent in row]
+               for row in lift.entries]
         if invert_matrix(phi, field) is None:
             return None
         phis.append(phi)

@@ -17,11 +17,11 @@ choice is the echelon particular solution with free parameters zero.
 
 from __future__ import annotations
 
-from .algebra import (AlgebraElement, NotRegularError, is_normal,
-                      is_regular_up_to)
+from .algebra import NotRegularError, is_normal, is_regular_up_to
 from .exactlinalg import columns_to_rows, solve_batch
-from .resolutions import (FreeComplex, FreeModuleMap, block_map, diagonal_map,
-                          verify_complex, zero_map)
+from .resolutions import (FreeComplex, block_map, column_vectors,
+                          diagonal_map, map_from_vectors, verify_complex,
+                          zero_map)
 
 
 class NotNormalError(ValueError):
@@ -41,51 +41,29 @@ def lift_against(d_next, rhs):
     """Solve d_next o X = rhs for X (echelon particular solution).
 
     X has target generators of d_next's source and rhs's source generators;
-    raises HomotopyLiftError when inconsistent.
+    raises HomotopyLiftError when inconsistent.  The ``column_vectors`` of
+    rhs of source shift e are solved at once against
+    ``d_next.degree_columns(e)``; ``map_from_vectors`` splits the solutions.
     """
-    pres = d_next.presentation
-    field = pres.field
-    tgt = d_next.source_shifts
-    src = rhs.source_shifts
     if d_next.target_shifts != rhs.target_shifts:
         raise ValueError("shapes do not match")
+    pres = d_next.presentation
+    src = rhs.source_shifts
+    rhs_vecs = column_vectors(rhs)
     by_degree = {}
     for j, s in enumerate(src):
         by_degree.setdefault(s, []).append(j)
-    entries = [[None] * len(src) for _ in tgt]
+    sols = [None] * len(src)
     for e, col_idx in by_degree.items():
-        cols, nrows, labels = d_next.degree_columns(e)
-        # rhs vectors in the same row indexing
-        row_offsets, _ = d_next.row_offsets(e)
-        rhs_vecs = []
-        for j in col_idx:
-            vec = {}
-            for k in range(rhs.nrows):
-                ent = rhs.entries[k][j]
-                if not ent:
-                    continue
-                off = row_offsets[k]
-                for t, c in ent.coords.items():
-                    vec[off + t] = c
-            rhs_vecs.append(vec)
-        sols = solve_batch(columns_to_rows(cols, nrows), len(cols), rhs_vecs,
-                           field)
-        for j, sol in zip(col_idx, sols):
+        cols, nrows = d_next.degree_columns(e)
+        solved = solve_batch(columns_to_rows(cols, nrows), len(cols),
+                             [rhs_vecs[j] for j in col_idx], pres.field)
+        for j, sol in zip(col_idx, solved):
             if sol is None:
                 raise HomotopyLiftError(
                     "inconsistent lifting system: not null-homotopic")
-            per_gen = {}
-            for cidx, v in sol.items():
-                t, w = labels[cidx]
-                per_gen.setdefault(t, {})[w] = v
-            for t in range(len(tgt)):
-                entries[t][j] = AlgebraElement(pres, max(e - tgt[t], 0),
-                                               per_gen.get(t, {}))
-    for t, trow in enumerate(entries):
-        for j, cell in enumerate(trow):
-            if cell is None:
-                trow[j] = pres.zero_element(max(src[j] - tgt[t], 0))
-    return FreeModuleMap(pres, tgt, src, entries)
+            sols[j] = sol
+    return map_from_vectors(pres, d_next.source_shifts, src, sols)
 
 
 class HomotopyTower:

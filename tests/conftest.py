@@ -4,7 +4,7 @@ from hypothesis import settings
 from quadralg.scalars import QQ
 from quadralg.algebra import (AlgebraElement, QuadraticPresentation,
                               opposite_element)
-from quadralg.resolutions import FreeComplex, linear_resolution
+from quadralg.resolutions import FreeComplex, block_offsets, linear_resolution
 from quadralg.shamash import shamash
 
 # One fixed example sequence per test, with no timing verdicts: the suite
@@ -94,10 +94,11 @@ def right_walk_product(a, b):
 
 def reference_degree_columns(fmap, e):
     """Reference ``FreeModuleMap.degree_columns``: every entry times every
-    basis vector of its source block, as a ``right_walk_product``."""
+    basis vector of its source block, as a ``right_walk_product``, one
+    column per source generator j and basis word w, in that order."""
     pres = fmap.presentation
-    row_offsets, total_rows = fmap.row_offsets(e)
-    columns, labels = [], []
+    row_offsets, total_rows = block_offsets(pres, fmap.target_shifts, e)
+    columns = []
     for j, s in enumerate(fmap.source_shifts):
         d = e - s
         if d < 0:
@@ -111,8 +112,7 @@ def reference_degree_columns(fmap, e):
                     for t, c in right_walk_product(ent, basis).items():
                         col[row_offsets[k] + t] = c
             columns.append(col)
-            labels.append((j, w))
-    return columns, total_rows, labels
+    return columns, total_rows
 
 
 def quotient_resolutions(pres, f, length=6, internal_cap=None):

@@ -278,7 +278,8 @@ def test_stdout_closed_early_exits_0_without_traceback(workdir, argv):
         assert load("report.json")["config"]["command"] == argv[0]
 
 
-@pytest.mark.parametrize("point", ["0,0", "1", "1,2,3", "1/0,1", "a,b"])
+@pytest.mark.parametrize("point", ["0,0", "1", "1,2,3", "1/0,1", "a,b",
+                                   "1e3,1", "1.5,1", "1_0,1"])
 def test_sigma_bad_point_exits_2(workdir, capsys, point):
     # the free algebra fails (G1): the point is refused before that verdict
     (workdir / "free.pres").write_text("field QQ\nvars x, y\n")

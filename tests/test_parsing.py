@@ -71,6 +71,17 @@ def test_parse_skew_validation():
         parse_presentation_text("vars x, y\nskew\n1 0\n0 1\n")
 
 
+@pytest.mark.parametrize("rows", [
+    "1 1e3\n1e-3 1",          # an exponent, refused by rel lines too
+    "1 1.5\n2/3 1",           # a decimal point
+    "1 1_000\n1/1000 1",      # a digit separator
+    "1 1e2000000\n1 1",       # would build 10^2000000 in full
+])
+def test_skew_entries_follow_the_rational_grammar(rows):
+    with pytest.raises(ParseError, match="bad rational"):
+        parse_presentation_text(f"vars x, y\nskew\n{rows}\n")
+
+
 @pytest.mark.parametrize("rows,message", [
     ("2 1\n1 1", "skew matrix needs 1 on the diagonal"),
     ("1 0\n0 1", "skew matrix entries must be nonzero"),

@@ -113,11 +113,11 @@ def test_residue_columns_reduce_degree_columns(pres, p):
     res = linear_resolution(pres, "right", 3, check="report")
     for fmap in res.maps:
         for e in range(CAP - 1):
-            columns, nrows, _ = fmap.degree_columns(e)
+            columns, nrows = fmap.degree_columns(e)
             got, got_rows = fmap.residue_columns(e, p)
             assert got.prime == p and got_rows == nrows
             assert list(got) == [_reduced(col, p) for col in columns]
-            reference, _, _ = reference_degree_columns(fmap, e)
+            reference, _ = reference_degree_columns(fmap, e)
             assert list(got) == [_reduced(col, p) for col in reference]
 
 
@@ -185,7 +185,7 @@ def test_a_clashing_relation_moves_certificates_to_the_next_prime(
     monkeypatch.undo()
     for fmap in res.maps:
         for e in range(CAP):
-            columns, nrows, _ = fmap.degree_columns(e)
+            columns, nrows = fmap.degree_columns(e)
             rank = rank_of_columns(columns, nrows, QQ)
             try:
                 certified = modular_rank(*fmap.residue_columns(e, P1))
