@@ -4,9 +4,9 @@ The reduction core is one fraction-free pseudo-reduction on integer term
 dicts: the primitive integer terms of a CommPoly over QQ, with content
 stripped as it goes, or its residues mod p over F_p, where every basis
 entry is kept monic so that each step is the monic one and every sum is
-reduced mod p.  The public layer speaks CommPoly.  Pair pruning follows
-the Gebauer-Moeller update, pair selection is the normal strategy
-(smallest lcm first).
+reduced mod p.  The public layer speaks CommPoly.  ``_buchberger`` is one
+loop over one pair heap, smallest lcm first, pruned by the Gebauer-Moeller
+criteria with each new lcm tested only against the lcms already kept.
 Projective emptiness is read off the leading monomials of one basis, or,
 with no basis, from generators of one degree D that span every form of
 degree D (their rank mod p: a lower bound over QQ, exact over GF(p)).
@@ -150,72 +150,52 @@ def _spair(f, g, key, p):
     return out if p else _strip_content(out)
 
 
-def _gm_update(G, pairs, new_index, key):
-    """Gebauer-Moeller pair update after appending G[new_index]."""
-    t = new_index
-    lmh = G[t].lm
-    cand = []
-    for i in range(t):
-        cand.append((i, _tuple_lcm(lmh, G[i].lm)))
-    kept = []
-    for pos, (i, lcm_i) in enumerate(cand):
-        if _coprime(lmh, G[i].lm):
-            kept.append((i, lcm_i, True))
-            continue
-        dominated = False
-        for pos2, (j, lcm_j) in enumerate(cand):
-            if pos2 == pos or j == i:
-                continue
-            if lcm_j != lcm_i and _divides(lcm_j, lcm_i):
-                dominated = True
-                break
-            if lcm_j == lcm_i and pos2 < pos:
-                dominated = True
-                break
-        if not dominated:
-            kept.append((i, lcm_i, False))
-    surviving = []
-    for (i, j, lcm_ij) in pairs:
-        if not _divides(lmh, lcm_ij):
-            surviving.append((i, j, lcm_ij))
-            continue
-        if _tuple_lcm(G[i].lm, lmh) == lcm_ij or _tuple_lcm(lmh, G[j].lm) == lcm_ij:
-            surviving.append((i, j, lcm_ij))
-    for i, lcm_i, coprime_flag in kept:
-        if not coprime_flag:
-            surviving.append((i, t, lcm_i))
-    return surviving
-
-
 def _buchberger(polys, key, p):
-    G = []
-    pairs = []
+    """Buchberger's algorithm, smallest lcm first, with the Gebauer-Moeller
+    criteria (J. Symbolic Comput. 6, 1988; Becker, Weispfenning, ch. 5.5).
+
+    The inputs, then the S-polynomials, go through ``join``: a nonzero
+    remainder h prunes the queued pairs and joins G.  Pairs live in
+    ``queue``, (i, j) -> lcm, and in a heap that is never rebuilt: a popped
+    pair no longer queued is skipped.  Criterion B drops a queued pair whose
+    lcm lm(h) divides, unless it is lcm(lm g_i, lm h) or lcm(lm h, lm g_j).
+    M and F drop a new pair whose lcm a kept new lcm divides or equals; the
+    new lcms go in the monomial order, which puts strict divisors first
+    (u < u*v when v != 1), so only the lcms kept so far need testing.
+    A kept pair with coprime leads (Buchberger's criterion), first among
+    equal lcms, prunes the others but is not queued."""
+    G, queue, heap = [], {}, []
+
+    def join(terms):
+        h = _normal_form(terms, G, key, p)
+        if not h:
+            return
+        entry = _make_entry(h, key, p)
+        lm, t = entry.lm, len(G)
+        for (i, j), lcm in list(queue.items()):
+            if (_divides(lm, lcm) and _tuple_lcm(G[i].lm, lm) != lcm
+                    and _tuple_lcm(lm, G[j].lm) != lcm):
+                del queue[i, j]
+        new = []
+        for i, g in enumerate(G):
+            lcm = _tuple_lcm(g.lm, lm)
+            new.append((key(lcm), not _coprime(g.lm, lm), i, lcm))
+        kept = []
+        for k, needed, i, lcm in sorted(new):
+            if not any(_divides(m, lcm) for m in kept):
+                kept.append(lcm)
+                if needed:
+                    queue[i, t] = lcm
+                    heapq.heappush(heap, (k, i, t))
+        G.append(entry)
+
     for terms in sorted((t for t in polys if t),
                         key=lambda t: key(max(t, key=key))):
-        nf = _normal_form(terms, G, key, p)
-        if nf:
-            G.append(_make_entry(nf, key, p))
-            pairs = _gm_update(G, pairs, len(G) - 1, key)
-    heap = [(key(lcm), i, j) for (i, j, lcm) in pairs]
-    heapq.heapify(heap)
-    pairset = {(i, j) for (i, j, _) in pairs}
+        join(terms)
     while heap:
         _, i, j = heapq.heappop(heap)
-        if (i, j) not in pairset:
-            continue
-        pairset.discard((i, j))
-        s = _spair(G[i], G[j], key, p)
-        nf = _normal_form(s, G, key, p)
-        if nf:
-            G.append(_make_entry(nf, key, p))
-            new_pairs = _gm_update(G, [(a, b, _tuple_lcm(G[a].lm, G[b].lm))
-                                       for (a, b) in pairset], len(G) - 1, key)
-            pairset = set()
-            heap = []
-            for (a, b, lcm) in new_pairs:
-                pairset.add((a, b))
-                heap.append((key(lcm), a, b))
-            heapq.heapify(heap)
+        if queue.pop((i, j), None) is not None:
+            join(_spair(G[i], G[j], key, p))
     return _reduce_basis(G, key, p)
 
 

@@ -649,7 +649,9 @@ def scalar_chain_isomorphism(c1, c2):
         return None
     pres = c1.presentation
     field = pres.field
-    phis = [[[field.one]]]
+    rank0 = c1.rank(0)
+    phis = [[[field.one if k == j else field.zero for j in range(rank0)]
+             for k in range(rank0)]]
     for d, dp in zip(c1.maps, c2.maps):
         if (d.source_shifts != dp.source_shifts
                 or d.target_shifts != dp.target_shifts

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -224,6 +224,48 @@ def test_groebner_of_random_quadrics_matches_oracle(field, order, gens):
     assume(polys)
     assert _our_reduced_basis(polys) == \
         _sympy_reduced_basis(sympy, polys, _SYMPY_ORDERS[order])
+
+
+_UP_TO_CUBICS = [e for e in product(range(4), repeat=4) if sum(e) <= 3]
+
+
+@settings(max_examples=30)
+@given(field=st.sampled_from([QQ, GF(7), GF(32003)]),
+       order=st.sampled_from(sorted(_SYMPY_ORDERS)),
+       gens=st.lists(st.dictionaries(st.sampled_from(_UP_TO_CUBICS),
+                                     st.integers(-5, 5), min_size=2,
+                                     max_size=4),
+                     min_size=2, max_size=5))
+def test_groebner_of_random_inhomogeneous_ideals_matches_oracle(field, order,
+                                                                gens):
+    """Random inhomogeneous ideals, up to five generators of degree at most
+    3 in four variables, where the pair criteria prune many pairs: in each
+    order and over QQ and GF(p), against sympy's reduced bases."""
+    sympy = pytest.importorskip("sympy")
+    ring = PolyRing(field, ["x", "y", "z", "w"], order_from_name(order))
+    polys = [f for f in (ring.from_terms(g.items()) for g in gens) if f]
+    assume(polys)
+    assert _our_reduced_basis(polys) == \
+        _sympy_reduced_basis(sympy, polys, _SYMPY_ORDERS[order])
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)])
+def test_skew_quotient_point_variety_basis_matches_oracle(field):
+    """I_E of the quotient of the 4-variable +-1-skew algebra by its sum of
+    squares: 29 quadric minors whose reduced basis has 23 entries, equal to
+    sympy's."""
+    sympy = pytest.importorskip("sympy")
+    from conftest import sum_of_squares
+    from quadralg.algebra import QuadraticPresentation
+    from quadralg.geometry import point_variety
+    q = [[1 if i == j else -1 for j in range(4)] for i in range(4)]
+    A = QuadraticPresentation.skew(field, ["x1", "x2", "x3", "x4"], q)
+    gens = list(point_variety(A.quotient(sum_of_squares(A)),
+                              "right").ideal.gens)
+    assert len(gens) == 29
+    ours = _our_reduced_basis(gens)
+    assert len(ours) == 23
+    assert ours == _sympy_reduced_basis(sympy, gens, "grevlex")
 
 
 @pytest.mark.parametrize("field", [QQ, GF(7), GF(32003)])

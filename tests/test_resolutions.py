@@ -217,6 +217,16 @@ def test_scalar_chain_iso_leaves_mixed_shifts_undecided(quantum_plane):
         [[QQ.one]], [[QQ.one, QQ.zero], [QQ.zero, QQ.one]]]
 
 
+def test_scalar_chain_iso_starts_from_the_identity_of_f0(quantum_plane):
+    """phi_0 is the identity of rank F_0: d_1 = (x, y)^t, with two target
+    generators, maps to itself by the identities."""
+    x, y = quantum_plane.generator(0), quantum_plane.generator(1)
+    column = FreeComplex(quantum_plane, "right", [
+        FreeModuleMap(quantum_plane, (0, 0), (1,), [[x], [y]])])
+    assert scalar_chain_isomorphism(column, column) == [
+        [[1, 0], [0, 1]], [[1]]]
+
+
 # ---- degree_columns against the per-basis-product reference -------------
 
 def assert_columns_match(fmap, top):
