@@ -28,13 +28,17 @@ builders make a normal word its normal prefix times its last letter, so each
 entry is one right step.  Equal scalars are shared: about 1 MiB in either
 domain for the n = 6 skew algebra and its quotient to degree 8, against
 6.8 MB as dicts keyed by (u, w).  Its scalar domain is its parameter, with
-one instance per domain: ``tables()`` holds the field's own scalars
-(products, nullspaces, lifts and exact ranks), and ``tables(p)`` ints mod p
-of a QQ presentation, or of a GF(p) one at its characteristic (every rank
-chain).  Residues reduce the step tables, never the relations (a bad prime
-can move the pivots of an F_p echelon, and with them the normal words), and
-sums run in ints, reduced once per image.  A denominator divisible by p
-raises ``PrimeClash`` while a table is built, and that degree stays unbuilt.
+one instance per domain.  Over QQ, ``tables()`` holds the field's own
+scalars (products, nullspaces, lifts and exact ranks), and ``tables(p)``
+ints mod a working prime p (every rank chain); residues reduce the step
+tables, never the relations (a bad prime can move the pivots of an F_p
+echelon, and with them the normal words), and sums run in ints, reduced
+once per image.  A denominator divisible by p raises ``PrimeClash`` while a
+table is built, and that degree stays unbuilt.  Over GF(p) there is one
+domain: both builders store their step tables as ints in [1, p), and
+``tables()`` is ``tables(p)`` at the characteristic.  ``FpElement`` stays in
+the coordinates of elements: the walk callers hand the tables residues and
+turn the summed ints back into field scalars once per result.
 One walk, ``ResidueTables.walk``, multiplies by a word through the step
 tables or the left tables; a product walks the words of its shorter factor.
 The scalar matrices of module maps are read off the left tables.
@@ -47,7 +51,7 @@ import weakref
 from .exactlinalg import (RowSpace, add_scaled, columns_to_rows,
                           invert_matrix, mat_mul, rank_of_columns, residue,
                           solve_batch)
-from .scalars import field_descriptor
+from .scalars import FpElement, field_descriptor
 
 DEFAULT_DEGREE_CAP = 8
 
@@ -188,7 +192,7 @@ class QuadraticPresentation:
             comp = GradedComponent(0, ((),), [])
         elif d == 1:
             words = tuple((j,) for j in range(n))
-            step = [[(j, self.field.one)] for j in range(n)]
+            step = [[(j, 1)] for j in range(n)]
             comp = GradedComponent(1, words, step)
         else:
             prev = self.component(d - 1)
@@ -237,19 +241,29 @@ class QuadraticPresentation:
 
     def from_word_coeffs(self, degree, word_coeffs):
         """Element from tensor-word coefficients (projection into A_d)."""
-        walk = self.tables().walk
-        one = (0, self.field.one)
+        tables = self.tables()
+        one = (0, tables.one)
         out = {}
         for word, c in word_coeffs.items():
             c = self.field(c)
             if c:
-                add_ints(out, walk(one, 0, word, "right"), c)
-        return AlgebraElement(self, degree, out)
+                add_ints(out, tables.walk(one, 0, word, "right"),
+                         tables.scalar(c))
+        return tables.element(degree, out)
 
     def tables(self, p=None):
         """The left tables of this presentation, one ``ResidueTables`` per
-        scalar domain: the field's own scalars for ``p`` None, else ints mod
-        ``p``, a prime for QQ and the characteristic for GF(p)."""
+        scalar domain.  Over QQ: the field's own scalars for ``p`` None,
+        else ints mod the prime ``p``.  Over GF(p) there is one domain, ints
+        mod the characteristic, for ``p`` None or the characteristic; any
+        other prime raises ``ValueError``."""
+        char = self.field.characteristic
+        if char:
+            if p is None:
+                p = char
+            elif p != char:
+                raise ValueError(f"tables mod {p} of an algebra over "
+                                 f"GF({char}): only its characteristic")
         tables = self._tables.get(p)
         if tables is None:
             tables = self._tables[p] = ResidueTables(self, p)
@@ -384,9 +398,13 @@ class ResidueTables:
     """The left tables of a presentation in one scalar domain, built lazily
     and once per degree: ``left[d][u][i]`` is x_u times word i of A_{d-1},
     a flat tuple (index, scalar, ...) of its nonzero scalars.  For ``p``
-    None the scalars are the field's own (``int`` or ``Fraction`` over
-    QQ, ``FpElement`` over GF(p)); for a prime ``p`` they are ints mod p
-    (see ``tables``).
+    None the scalars are QQ's own (``int`` or ``Fraction``); for a prime
+    ``p`` they are ints in [1, p): the residues of a QQ presentation at a
+    working prime, or the scalars of a GF(p) one at its characteristic,
+    its only domain (see ``tables``).  The walk callers (products,
+    ``from_word_coeffs``, ``convert_element``) hand in ``flat`` images and
+    ``scalar``s and turn their sums back into an ``element``, whose
+    coordinates are ``field_scalars``.
     Equal scalars are one object per table, and a left image that is one
     step image is that tuple itself."""
 
@@ -403,7 +421,32 @@ class ResidueTables:
         p (raises PrimeClash)."""
         return c if self.p is None else residue(c, self.p)
 
-    def _reduced(self, acc, shared):
+    def flat(self, coords):
+        """The coordinates {index: field scalar} as a flat image in this
+        domain."""
+        if self.p is None:
+            return tuple(x for item in coords.items() for x in item)
+        p = self.p
+        return tuple(x for k, c in coords.items()
+                     for x in (k, residue(c, p)))
+
+    def field_scalars(self, acc):
+        """The nonzero sums of ``acc``, in this domain's scalars and not
+        yet reduced, as coordinates in field scalars: the sums themselves,
+        or at the characteristic of GF(p) their elements of F_p."""
+        p = self.p
+        if p is None:
+            return {k: v for k, v in acc.items() if v}
+        return {k: FpElement(r, p) for k, v in acc.items() if (r := v % p)}
+
+    def element(self, degree, acc):
+        """The element of A_degree whose coordinates are the sums ``acc``,
+        as ``field_scalars`` (over QQ the element drops the zero sums)."""
+        if self.p is not None:
+            acc = self.field_scalars(acc)
+        return AlgebraElement(self.presentation, degree, acc)
+
+    def reduced(self, acc, shared=None):
         """The flat image of the nonzero sums ``acc``, reduced mod p when p
         is set, equal scalars shared when ``shared`` is a dict."""
         p = self.p
@@ -437,16 +480,18 @@ class ResidueTables:
             it = iter(flat)
             for j, c in zip(it, it):
                 add_ints(acc, table[j], c)
-            out.append(self._reduced(acc, shared))
+            out.append(self.reduced(acc, shared))
         return out
 
     def step_table(self, d):
-        """The step table of A_d in this domain: the stored one for field
-        scalars, else its residues mod p, built afresh (``left_table`` reads
-        it once per degree and does not keep it)."""
-        step = self.presentation.component(d).step
+        """The step table of A_d in this domain: the stored one for QQ's
+        scalars and at the characteristic of GF(p), whose tables are stored
+        in residues; at a working prime of QQ its residues, built afresh
+        (``left_table`` reads it once per degree and does not keep it)."""
+        pres = self.presentation
+        step = pres.component(d).step
         p = self.p
-        if p is None:
+        if p is None or p == pres.field.characteristic:
             return step
         shared = {}
         share = shared.setdefault
@@ -512,6 +557,7 @@ def _rref_component(pres, d, prev, prev2):
     """A_d as A_{d-1} (x) V modulo the image of A_{d-2} (x) R, by reduced row
     echelon form; column c = i*n + a stands for word i of A_{d-1} times x_a."""
     n = pres.n
+    p = pres.field.characteristic  # over GF(p) the tables hold residues
     space = RowSpace(pres.field)
     for b in range(prev2.dim):
         for rel in pres.rel_rows:
@@ -531,9 +577,9 @@ def _rref_component(pres, d, prev, prev2):
     def image(c):
         row = pivots.get(c)
         if row is None:
-            return (remap[c], pres.field.one)
+            return (remap[c], 1)
         return tuple(x for oc in sorted(row) if oc != c
-                     for x in (remap[oc], -row[oc]))
+                     for x in (remap[oc], p - row[oc].val if p else -row[oc]))
 
     step = [[image(i * n + a) for i in range(prev.dim)] for a in range(n)]
     return GradedComponent(d, words, step)
@@ -547,14 +593,15 @@ def _rewrite_component(pres, d, prev, prev2):
     last two letters are the leading word of a monic relation row becomes
     -sum row[s*n + t] * (prefix of w)*x_s*x_t over the row's other columns.
     Those words are lex-greater, so filling the table in descending column
-    order finds every image it needs already built.
+    order finds every image it needs already built.  Over GF(p) the rules
+    and the tables hold residues, and each image is reduced once.
     """
     n = pres.n
+    p = pres.field.characteristic
     # each leading word's rule: the row's other columns (s, t), negated
-    rules = {lw: [(divmod(col, n), -c) for col, c in row.items()
-                  if col != lw[0] * n + lw[1]]
+    rules = {lw: [(divmod(col, n), p - c.val if p else -c)
+                  for col, c in row.items() if col != lw[0] * n + lw[1]]
              for lw, row in pres._leading_words().items()}
-    one = pres.field.one
     words = tuple(w + (a,) for w in prev.words for a in range(n)
                   if (w[-1], a) not in rules)
     index = {w: i for i, w in enumerate(words)}
@@ -564,7 +611,7 @@ def _rewrite_component(pres, d, prev, prev2):
         w = prev.words[i]
         rule = rules.get((w[-1], a))
         if rule is None:
-            step[a][i] = (index[w + (a,)], one)
+            step[a][i] = (index[w + (a,)], 1)
             continue
         prefix = prev2.index[w[:-1]]
         acc = {}
@@ -572,8 +619,12 @@ def _rewrite_component(pres, d, prev, prev2):
             it = iter(prev.step[s][prefix])
             for j, v in zip(it, it):
                 add_ints(acc, step[t][j], coeff * v)
-        step[a][i] = tuple(x for j in sorted(acc) if acc[j]
-                           for x in (j, acc[j]))
+        if p:
+            step[a][i] = tuple(x for j in sorted(acc) if (r := acc[j] % p)
+                               for x in (j, r))
+        else:
+            step[a][i] = tuple(x for j in sorted(acc) if acc[j]
+                               for x in (j, acc[j]))
     return GradedComponent(d, words, step)
 
 
@@ -630,12 +681,13 @@ class AlgebraElement:
         else:
             fixed, walker, side = self, other, "right"
         words = pres.component(walker.degree).words
-        walk = pres.tables().walk
-        flat = tuple(x for item in fixed.coords.items() for x in item)
+        tables = pres.tables()
+        walk, scalar = tables.walk, tables.scalar
+        flat = tables.flat(fixed.coords)
         out = {}
         for i, c in walker.coords.items():
-            add_ints(out, walk(flat, fixed.degree, words[i], side), c)
-        return AlgebraElement(pres, self.degree + other.degree, out)
+            add_ints(out, walk(flat, fixed.degree, words[i], side), scalar(c))
+        return tables.element(self.degree + other.degree, out)
 
     __rmul__ = scale
 
@@ -883,8 +935,11 @@ def convert_element(element, target, linmap=None):
     if linmap is None and target.n != src.n:
         raise ValueError("generator counts differ; supply linmap")
     words = src.component(element.degree).words
-    walk = target.tables().walk
-    one = (0, target.field.one)
+    tables = target.tables()
+    walk, scalar = tables.walk, tables.scalar
+    one = (0, tables.one)
+    if linmap is not None and tables.p is not None:
+        linmap = [[scalar(cu) for cu in row] for row in linmap]
     out = {}
     for i, c in element.coords.items():
         if linmap is None:
@@ -897,10 +952,9 @@ def convert_element(element, target, linmap=None):
                 for u, cu in enumerate(linmap[letter]):
                     if cu:
                         add_ints(nxt, walk(flat, k, (u,), "right"), cu)
-                flat = tuple(x for item in nxt.items() if item[1]
-                             for x in item)
-        add_ints(out, flat, target.field(c))
-    return AlgebraElement(target, element.degree, out)
+                flat = tables.reduced(nxt)
+        add_ints(out, flat, scalar(target.field(c)))
+    return tables.element(element.degree, out)
 
 
 def opposite_element(element):

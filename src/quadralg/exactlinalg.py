@@ -16,8 +16,8 @@ and two elimination kernels on sparse rows, one per kind of field.
 
 The matrices of ``modular_rank`` are built in F_p from the start: the
 algebra reduces its multiplication tables mod p once per prime (a GF(p)
-one at its characteristic) and the callers hand ``modular_rank``
-``ResidueColumns``, which it eliminates as they are.
+one stores them mod its characteristic) and the callers hand
+``modular_rank`` ``ResidueColumns``, which it eliminates as they are.
 ``over_working_primes`` is the one loop over ``MODULAR_PRIMES``: a
 denominator divisible by the prime raises ``PrimeClash`` and moves to the
 next one, and when every prime clashes there is no certificate, so the

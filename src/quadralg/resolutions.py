@@ -18,11 +18,15 @@ outside the lead rows of the echelon of d_{i+1}: at the characteristic
 over GF(p), where they are the ranks, and at a working prime over QQ,
 where they are lower bounds that decide wherever they meet the dimension;
 QQ shortfalls take exact ranks.  The scalar matrices of a map are read off
-the algebra's left tables by one assembler, in either of their domains:
-``degree_columns`` in field scalars for the compositions, nullspaces,
-lifts and exact ranks, and ``residue_columns`` in F_p, leaving out the
-columns the chain skips, for the chain.  A map reads its entries once per
-domain, into a recipe of (row, word, scalar) terms per column.
+the algebra's left tables by one assembler, in any of their domains:
+``degree_columns`` in the field's own table domain for the compositions,
+nullspaces, lifts and exact ranks, and ``residue_columns`` in F_p, leaving
+out the columns the chain skips, for the chain.  Over GF(p) the two are one
+domain, ints mod the characteristic: ``degree_columns`` are
+``ResidueColumns`` there, the composite kernel sums ints, and the
+eliminations of nullspaces and lifts return field scalars.  A map reads its
+entries once per domain, into a recipe of (row, word, scalar) terms per
+column.
 """
 
 from __future__ import annotations
@@ -33,7 +37,8 @@ from dataclasses import dataclass, field
 from .algebra import (AlgebraElement, GradedAutomorphism, convert_element,
                       residue_sums)
 from .exactlinalg import (ResidueColumns, columns_to_rows, modular_rank,
-                          nullspace, over_working_primes, rank_of_columns)
+                          nullspace, over_working_primes, rank_of_columns,
+                          residues)
 from .linearforms import LinearFormMatrix, geometry_ring
 
 
@@ -107,7 +112,9 @@ class FreeModuleMap:
         """For each source generator j of ``other``, of shift s, its image
         under self o other in the rows of ``self.degree_columns(s)``: c
         times column i summed over the cells (i, c) of column j of
-        ``other`` as a vector at s.  A zero column builds no matrix."""
+        ``other`` as a vector at s, in the scalars of those columns (ints
+        mod p over GF(p)) and returned in field scalars.  A zero column
+        builds no matrix."""
         if other.presentation is not self.presentation:
             raise ValueError("maps over different algebras")
         if other.target_shifts != self.source_shifts:
@@ -118,15 +125,18 @@ class FreeModuleMap:
         for j, (s, vec) in enumerate(zip(other.source_shifts, vectors)):
             if vec:
                 by_shift.setdefault(s, []).append(j)
+        tables = self.presentation.tables()
+        p = tables.p
         for s, group in by_shift.items():
             columns = self.degree_columns(s)[0]
             for j in group:
                 acc = {}
                 get = acc.get
-                for i, c in vectors[j].items():
+                vec = vectors[j] if p is None else residues(vectors[j], p)
+                for i, c in vec.items():
                     for r, v in columns[i].items():
                         acc[r] = get(r, 0) + c * v
-                images[j] = {r: v for r, v in acc.items() if v}
+                images[j] = tables.field_scalars(acc)
         return images
 
     def add(self, other):
@@ -176,15 +186,16 @@ class FreeModuleMap:
                              [[convert_element(e, target, linmap) for e in row]
                               for row in self.entries])
 
-    def _recipe(self, p):
+    def _recipe(self, tables):
         """For each source generator j, the nonzero entries of column j as
         (row k, word, scalar) per coordinate, their scalars in the domain
-        of ``tables(p)``; built once per domain (raises PrimeClash, and
-        keeps nothing, when a denominator is divisible by p)."""
-        recipe = self._recipes.get(p)
+        of ``tables``; built once per domain, one over GF(p) (raises
+        PrimeClash, and keeps nothing, when a denominator is divisible by
+        the prime)."""
+        recipe = self._recipes.get(tables.p)
         if recipe is None:
             pres = self.presentation
-            scalar = pres.tables(p).scalar
+            scalar = tables.scalar
             recipe = []
             for j in range(self.ncols):
                 terms = []
@@ -196,22 +207,24 @@ class FreeModuleMap:
                                      for i, c in ent.coords.items()
                                      if (r := scalar(c)))
                 recipe.append(terms)
-            self._recipes[p] = recipe
+            self._recipes[tables.p] = recipe
         return recipe
 
     def _columns(self, e, p, skip=()):
         """The internal-degree-e scalar matrix in the domain of the left
-        tables ``tables(p)``: (sparse columns, nrows).  Column (j, w) sums
-        each term (k, word, c) of column j's recipe times basis word w of
+        tables ``tables(p)``: (sparse columns, nrows), ``ResidueColumns``
+        when that domain is ints mod a prime.  Column (j, w) sums each term
+        (k, word, c) of column j's recipe times basis word w of
         A_{e - shift}: the word is walked on the left through the tables,
         and its rows go to block k.  The columns whose index is in ``skip``
         are left out, and not built."""
         pres = self.presentation
         tables = pres.tables(p)
+        p = tables.p
         row_offsets, total_rows = block_offsets(pres, self.target_shifts, e)
         columns = [] if p is None else ResidueColumns(p)
         base = 0
-        for s, recipe in zip(self.source_shifts, self._recipe(p)):
+        for s, recipe in zip(self.source_shifts, self._recipe(tables)):
             d = e - s
             dim = pres.dim(d) if d >= 0 else 0
             words = [w for w in range(dim) if base + w not in skip]
@@ -224,17 +237,22 @@ class FreeModuleMap:
 
     def degree_columns(self, e):
         """Scalar matrix of the internal-degree-e component, as sparse
-        columns of field scalars, one per coordinate of the source at e
-        (``block_offsets``); returns (columns, nrows)."""
+        columns in the scalars of ``tables()``, one per coordinate of the
+        source at e (``block_offsets``); returns (columns, nrows).  Over QQ
+        the columns hold field scalars; over GF(p) they are
+        ``ResidueColumns`` at the characteristic, the same matrix as
+        ``residue_columns(e, p)``."""
         return self._columns(e, None)
 
     def residue_columns(self, e, p, skip=()):
         """``degree_columns(e)`` reduced mod p, built from the residue tables
         ``tables(p)``, a working prime of a QQ algebra or the characteristic
-        of a GF(p) one: (``ResidueColumns``, nrows), with the same rows and
-        the same columns but those whose index is in ``skip``, which are not
-        built.  Each entry's coordinates are reduced once per map; raises
-        PrimeClash."""
+        of a GF(p) one (where it is ``degree_columns(e)`` itself):
+        (``ResidueColumns``, nrows), with the same rows and the same columns
+        but those whose index is in ``skip``, which are not built.  Each
+        entry's coordinates are reduced once per map and domain; raises
+        PrimeClash, and ``ValueError`` for a prime other than the
+        characteristic of GF(p)."""
         return self._columns(e, p, skip)
 
     def to_linear_form_matrix(self, ring=None):

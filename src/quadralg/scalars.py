@@ -20,6 +20,7 @@ with ``/``: an int divided by an int is a float.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 
 def _canonical(q):
@@ -197,16 +198,15 @@ def _is_prime(p):
 class PrimeField:
     """The field F_p for a prime p."""
 
-    __slots__ = ("p",)
+    __slots__ = ("p", "characteristic", "zero", "one")
 
     def __init__(self, p):
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
-        self.p = p
-
-    @property
-    def characteristic(self):
-        return self.p
+        self.p = self.characteristic = p
+        # one object each, as QQ's: no operation mutates an FpElement
+        self.zero = FpElement(0, p)
+        self.one = FpElement(1, p)
 
     def __call__(self, value):
         if isinstance(value, FpElement):
@@ -232,14 +232,6 @@ class PrimeField:
         """The inverse 1 / b in F_p; ZeroDivisionError when b is zero."""
         return self.div(1, b)
 
-    @property
-    def zero(self):
-        return FpElement(0, self.p)
-
-    @property
-    def one(self):
-        return FpElement(1, self.p)
-
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
 
@@ -253,7 +245,10 @@ class PrimeField:
 QQ = RationalField()
 
 
+@cache
 def GF(p):
+    """The field F_p: one object per prime, so its ``zero`` and ``one``
+    are one object each too."""
     return PrimeField(p)
 
 

@@ -12,14 +12,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quadralg import algebra, exactlinalg, resolutions
-from quadralg.algebra import (AlgebraElement, QuadraticPresentation,
+from quadralg.algebra import (AlgebraElement, GradedAutomorphism,
+                              QuadraticPresentation, convert_element,
                               is_regular_up_to, span_normal)
-from quadralg.exactlinalg import (MODULAR_PRIMES, PrimeClash, modular_rank,
-                                  rank_of_columns, residue)
+from quadralg.exactlinalg import (MODULAR_PRIMES, PrimeClash, ResidueColumns,
+                                  modular_rank, rank_of_columns, residue)
 from quadralg.parsing import parse_presentation_text
 from quadralg.resolutions import FreeModuleMap, linear_resolution
-from quadralg.scalars import GF, QQ
-from quadralg.shamash import shamash
+from quadralg.scalars import GF, QQ, FpElement
+from quadralg.shamash import lift_against, shamash
 from conftest import reference_degree_columns, sum_of_squares
 
 P1, P2 = MODULAR_PRIMES[:2]
@@ -86,24 +87,21 @@ def test_residue_tables_reduce_the_rational_tables(pres, p):
                         == _reduced(_as_dict(left[a][i]), p))
 
 
-def _values(flat):
-    return tuple(x.val if i % 2 else x for i, x in enumerate(flat))
-
-
 @given(GF_ALGEBRAS)
 @settings(max_examples=30, deadline=None)
 def test_residue_tables_at_the_characteristic_are_the_field_tables(pres):
-    """Over GF(p) the tables of ``tables(p)`` hold the ``.val`` of the field
-    tables, image by image and in the same order."""
+    """Over GF(p) the field tables are the tables at the characteristic:
+    one ``ResidueTables``, whose step tables are the stored ones, and every
+    step and left table holds ints in [1, p)."""
     p = pres.field.p
-    tables, field_tables = pres.tables(p), pres.tables()
+    tables = pres.tables()
+    assert tables is pres.tables(p) and tables.p == p
+    assert set(pres._tables) == {p}
     for d in range(1, 5):
+        assert tables.step_table(d) is pres.component(d).step
         for get in ("step_table", "left_table"):
-            got = getattr(tables, get)(d)
-            want = getattr(field_tables, get)(d)
-            assert got == [[_values(flat) for flat in images]
-                           for images in want]
-            assert all(type(v) is int and 0 < v < p for images in got
+            assert all(type(v) is int and 0 < v < p
+                       for images in getattr(tables, get)(d)
                        for flat in images for v in flat[1::2])
 
 
@@ -255,9 +253,9 @@ def test_residues_do_not_depend_on_the_order_of_the_primes():
 
 
 def test_a_prime_field_builds_tables_only_at_its_characteristic():
-    """Over GF(32003) the chain runs at the characteristic: the algebra and
-    its quotient hold tables in field scalars and in ints mod 32003, and
-    none at a working prime."""
+    """Over GF(32003) every table is at the characteristic: the algebra and
+    its quotient hold one domain each, ints mod 32003, for the products,
+    the scalar columns and the chain, and none at a working prime."""
     field = GF(32003)
     q = [[1 if i == j else -1 for j in range(4)] for i in range(4)]
     pres = QuadraticPresentation.skew(field, ["a", "b", "c", "d"], q,
@@ -267,8 +265,111 @@ def test_a_prime_field_builds_tables_only_at_its_characteristic():
     P = linear_resolution(pres, "right", 4)
     T, _ = shamash(pres, P, f, length=4, internal_cap=6)
     assert T.meta["verification"].is_exact()
-    assert set(pres._tables) == {None, 32003}
-    assert set(T.presentation._tables) == {None, 32003}
+    for alg in (pres, T.presentation):
+        assert set(alg._tables) == {32003}
+        assert alg.tables() is alg.tables(32003)
+
+
+def _units_mod(p):
+    """Nonzero rationals whose numerator and denominator are prime to p."""
+    whole = st.integers(-40, 40).filter(lambda a: a % p)
+    return st.builds(Fraction, whole, whole.map(abs))
+
+
+@st.composite
+def skew_matrices_mod(draw):
+    p = draw(st.sampled_from([7, 11, 32003]))
+    n = draw(st.integers(2, 4))
+    q = [[Fraction(1)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            q[i][j] = draw(_units_mod(p))
+            q[j][i] = 1 / q[i][j]
+    return p, q
+
+
+@given(skew_matrices_mod())
+@settings(max_examples=40, deadline=None)
+def test_prime_field_tables_are_the_residues_of_the_rational_tables(case):
+    """A skew algebra over GF(p) builds its tables in residues; the same
+    skew matrix over QQ builds them in rationals, reduced mod p afterwards
+    by ``tables(p)``.  No pivot moves for skew relations, so the normal
+    words and every step and left table agree."""
+    p, q = case
+    names = NAMES + ["t"]
+    rational, modular = (
+        QuadraticPresentation.skew(field, names[:len(q)], q, degree_cap=5)
+        for field in (QQ, GF(p)))
+    reference, tables = rational.tables(p), modular.tables()
+    for d in range(1, 6):
+        assert modular.component(d).words == rational.component(d).words
+        assert tables.step_table(d) == reference.step_table(d)
+        assert tables.left_table(d) == reference.left_table(d)
+
+
+def test_a_foreign_prime_on_a_prime_field_is_refused():
+    """GF(7) holds its tables mod 7 only: another prime is a caller's
+    error, not a residue of an element of F_7."""
+    plane = QuadraticPresentation.skew(GF(7), ["x", "y"], [[1, 3], [5, 1]])
+    with pytest.raises(ValueError, match="GF\\(7\\)"):
+        plane.tables(11)
+    assert set(plane._tables) <= {7}
+    assert plane.tables(7).left_table(3) == plane.tables().left_table(3)
+
+
+def _coords_are_field_scalars(element, p):
+    return all(type(c) is FpElement and c.p == p
+               for c in element.coords.values())
+
+
+def _maps_have_field_scalars(maps, p):
+    return all(_coords_are_field_scalars(e, p)
+               for fmap in maps for row in fmap.entries for e in row)
+
+
+def test_no_table_scalar_leaks_into_coordinates():
+    """Over GF(7) the tables and the scalar columns hold ints in [1, 7),
+    and every element built from them (resolutions, the tower and its
+    twists, quotient maps, composites, lifts, automorphisms and linear
+    quotients) holds elements of F_7 only, so equal elements hash alike."""
+    field = GF(7)
+    q = [[1 if i == j else -1 for j in range(4)] for i in range(4)]
+    pres = QuadraticPresentation.skew(field, ["a", "b", "c", "d"], q,
+                                      degree_cap=6)
+    f = sum_of_squares(pres)
+    P = linear_resolution(pres, "right", 4)
+    T, tower = shamash(pres, P, f, length=4, internal_cap=6)
+    assert T.meta["verification"].is_exact()
+    d2, c = P.maps[1], tower.c(1, 1)
+    lift = lift_against(d2, d2.compose(c))
+    assert d2.compose(lift).sub(d2.compose(c)).is_zero()
+    sigma = GradedAutomorphism(pres, [[2, 0, 0, 0], [0, 3, 0, 0],
+                                      [0, 0, 1, 0], [0, 0, 0, 5]])
+    x = [pres.generator(i) for i in range(4)]
+    g = x[0] * x[1] * x[2] + x[3] * x[3].scale(4) * x[0]
+    line, linmap = pres.quotient_by_linear(x[0] + x[1].scale(2))
+    assert _maps_have_field_scalars(
+        P.maps + T.maps + list(tower.cmaps.values())
+        + [P.maps[0].compose(P.maps[1]), d2.compose(c), lift], 7)
+    images = [sigma(g), convert_element(g, line, linmap), f * g, g * f,
+              pres.from_word_coeffs(3, {(0, 1, 2): 3, (2, 1, 0): 1}),
+              convert_element(g, T.presentation)]
+    assert all(_coords_are_field_scalars(h, 7) for h in images)
+    assert hash(sigma(g)) == hash(AlgebraElement(
+        pres, 3, {i: field(c.val) for i, c in sigma(g).coords.items()}))
+    for alg in (pres, T.presentation):
+        tables = alg.tables()
+        assert tables is alg.tables(7) and set(alg._tables) == {7}
+        assert all(type(v) is int and 0 < v < 7
+                   for comp in alg._components.values()
+                   for images in comp.step for flat in images
+                   for v in flat[1::2])
+    for fmap in T.maps:
+        for e in range(7):
+            columns, _ = fmap.degree_columns(e)
+            assert isinstance(columns, ResidueColumns) and columns.prime == 7
+            assert all(type(v) is int and 0 < v < 7
+                       for col in columns for v in col.values())
 
 
 N = reduce(lambda a, b: a * b, MODULAR_PRIMES)

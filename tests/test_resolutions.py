@@ -5,7 +5,8 @@ from math import comb
 import pytest
 
 from quadralg.algebra import GradedAutomorphism, QuadraticPresentation
-from quadralg.exactlinalg import MODULAR_PRIMES, exact_rank, residue
+from quadralg.exactlinalg import (MODULAR_PRIMES, ResidueColumns,
+                                  exact_rank, residue)
 from quadralg.resolutions import (FreeComplex, FreeModuleMap,
                                   NonlinearKernelError, block_map,
                                   diagonal_map, geometry_ring,
@@ -233,20 +234,30 @@ def assert_columns_match(fmap, top):
     """Columns and row count agree in every internal degree whose
     products stay within A_top, and the residue columns are those of the
     field-scalar ones: their residues at both first working primes over
-    QQ, their ``.val``s at the characteristic over GF(p), also when a third
-    of the column indices are skipped."""
+    QQ, also when a third of the column indices are skipped.  Over GF(p)
+    there is one domain: the columns are ``ResidueColumns`` at the
+    characteristic, ints in [1, p) equal to the ``.val``s of the
+    reference's field scalars, and the residue columns are the same."""
     field = fmap.presentation.field
     low = min(fmap.target_shifts, default=0)
     for e in range(0, top + low + 1):
         columns, nrows = fmap.degree_columns(e)
-        assert (columns, nrows) == reference_degree_columns(fmap, e)
+        reference, ref_rows = reference_degree_columns(fmap, e)
+        assert nrows == ref_rows
         if field == QQ:
+            assert columns == reference
             primes = MODULAR_PRIMES[:2]
             wanted = [[{i: r for i, v in col.items() if (r := residue(v, p))}
                        for col in columns] for p in primes]
         else:
-            primes = (field.characteristic,)
-            wanted = [[{i: v.val for i, v in col.items()} for col in columns]]
+            p = field.characteristic
+            assert isinstance(columns, ResidueColumns) and columns.prime == p
+            assert list(columns) == [{i: v.val for i, v in col.items()}
+                                     for col in reference]
+            assert all(type(v) is int and 0 < v < p
+                       for col in columns for v in col.values())
+            primes = (p,)
+            wanted = [list(columns)]
         for p, want in zip(primes, wanted):
             got, got_rows = fmap.residue_columns(e, p)
             assert got.prime == p and got_rows == nrows

@@ -121,3 +121,14 @@ def test_characteristic_above_certified_bound_refused():
 def test_primality_agrees_with_trial_division(p):
     from quadralg.scalars import _is_prime
     assert _is_prime(p) == _trial_division(p)
+
+
+def test_prime_field_constants_are_fixed():
+    """``zero`` and ``one`` are made once per field, as QQ's are, and
+    compare and hash as before."""
+    F = GF(7)
+    assert F is GF(7) and GF(7).one is GF(7).one and F.zero is F.zero
+    assert F.one == F(1) == 1 and F.zero == F(0) == 0 and not F.zero
+    assert hash(F.one) == hash(F(8)) and F.one != F.zero
+    assert F.one + F.one == 2 and F.one == GF(7).one
+    assert F.one != GF(11).one and F.one is not GF(11).one
