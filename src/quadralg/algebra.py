@@ -50,7 +50,7 @@ import weakref
 
 from .exactlinalg import (RowSpace, add_scaled, columns_to_rows,
                           invert_matrix, mat_mul, rank_of_columns, residue,
-                          solve_batch)
+                          residues, solve_batch)
 from .scalars import FpElement, field_descriptor
 
 DEFAULT_DEGREE_CAP = 8
@@ -402,9 +402,9 @@ class ResidueTables:
     ``p`` they are ints in [1, p): the residues of a QQ presentation at a
     working prime, or the scalars of a GF(p) one at its characteristic,
     its only domain (see ``tables``).  The walk callers (products,
-    ``from_word_coeffs``, ``convert_element``) hand in ``flat`` images and
-    ``scalar``s and turn their sums back into an ``element``, whose
-    coordinates are ``field_scalars``.
+    ``from_word_coeffs``, ``convert_element``) hand in coordinates
+    ``in_domain`` and ``scalar``s and turn their sums back into an
+    ``element``, whose coordinates are ``field_scalars``.
     Equal scalars are one object per table, and a left image that is one
     step image is that tuple itself."""
 
@@ -421,14 +421,10 @@ class ResidueTables:
         p (raises PrimeClash)."""
         return c if self.p is None else residue(c, self.p)
 
-    def flat(self, coords):
-        """The coordinates {index: field scalar} as a flat image in this
-        domain."""
-        if self.p is None:
-            return tuple(x for item in coords.items() for x in item)
-        p = self.p
-        return tuple(x for k, c in coords.items()
-                     for x in (k, residue(c, p)))
+    def in_domain(self, coords):
+        """The coordinates {index: field scalar} in this domain: themselves,
+        or their nonzero residues mod p (raises PrimeClash)."""
+        return coords if self.p is None else residues(coords, self.p)
 
     def field_scalars(self, acc):
         """The nonzero sums of ``acc``, in this domain's scalars and not
@@ -682,11 +678,12 @@ class AlgebraElement:
             fixed, walker, side = self, other, "right"
         words = pres.component(walker.degree).words
         tables = pres.tables()
-        walk, scalar = tables.walk, tables.scalar
-        flat = tables.flat(fixed.coords)
+        walk = tables.walk
+        flat = tuple(x for item in tables.in_domain(fixed.coords).items()
+                     for x in item)
         out = {}
-        for i, c in walker.coords.items():
-            add_ints(out, walk(flat, fixed.degree, words[i], side), scalar(c))
+        for i, c in tables.in_domain(walker.coords).items():
+            add_ints(out, walk(flat, fixed.degree, words[i], side), c)
         return tables.element(self.degree + other.degree, out)
 
     __rmul__ = scale

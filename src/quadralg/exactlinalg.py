@@ -225,6 +225,9 @@ def residue(value, p):
     F_p itself; raises PrimeClash when the denominator is divisible by p."""
     if type(value) is int:
         return value % p
+    # before Fraction, whose isinstance test goes through its ABC
+    if isinstance(value, FpElement) and value.p == p:
+        return value.val
     if isinstance(value, Fraction):
         den = value.denominator
         if den == 1:
@@ -233,8 +236,6 @@ def residue(value, p):
         if den == 0:
             raise PrimeClash
         return value.numerator * pow(den, -1, p) % p
-    if isinstance(value, FpElement) and value.p == p:
-        return value.val
     return int(value) % p
 
 

@@ -37,8 +37,7 @@ from dataclasses import dataclass, field
 from .algebra import (AlgebraElement, GradedAutomorphism, convert_element,
                       residue_sums)
 from .exactlinalg import (ResidueColumns, columns_to_rows, modular_rank,
-                          nullspace, over_working_primes, rank_of_columns,
-                          residues)
+                          nullspace, over_working_primes, rank_of_columns)
 from .linearforms import LinearFormMatrix, geometry_ring
 
 
@@ -126,14 +125,12 @@ class FreeModuleMap:
             if vec:
                 by_shift.setdefault(s, []).append(j)
         tables = self.presentation.tables()
-        p = tables.p
         for s, group in by_shift.items():
             columns = self.degree_columns(s)[0]
             for j in group:
                 acc = {}
                 get = acc.get
-                vec = vectors[j] if p is None else residues(vectors[j], p)
-                for i, c in vec.items():
+                for i, c in tables.in_domain(vectors[j]).items():
                     for r, v in columns[i].items():
                         acc[r] = get(r, 0) + c * v
                 images[j] = tables.field_scalars(acc)
